@@ -49,7 +49,6 @@ from .polynomials import (
     BivariatePolynomial,
     InexactDivisionError,
     QPoly,
-    RationalFunctionQ,
     is_palindromic,
     q_binomial,
     q_factorial,

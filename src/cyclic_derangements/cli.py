@@ -8,13 +8,16 @@ Subcommands::
     roots    root isolation and negativity/interlacing certificates
     dump     per-element statistics, streamed as JSON lines
 
-Exit codes: 0 on success, 1 when a verification fails (or a root
-certificate does not pass), 2 on bad input or a refused enumeration.
+Exit codes: 0 on success (also when the reader of the output closes the
+pipe early, as ``dump ... | head`` does), 1 when a verification fails (or
+a root certificate does not pass), 2 on bad input or a refused
+enumeration.
 All JSON documents carry ``"schema": 1``.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import counting, roots, verify
@@ -339,13 +342,22 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except EnumerationBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (``dump ... | head``); point stdout at the
+        # null device so the flush at exit cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

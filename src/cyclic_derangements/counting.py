@@ -21,16 +21,14 @@ from math import comb, factorial
 
 from .polynomials import (
     BivariatePolynomial,
-    QPoly,
-    RationalFunctionQ,
     q_factorial,
     q_integer,
     t_bracket,
 )
 from .series import (
-    TruncatedSeries,
     coefficient_as_integer,
     coefficient_as_polynomial,
+    q_egf_divide,
     series_divide,
     series_exp_linear,
     series_from_coefficients,
@@ -68,7 +66,8 @@ def derangement_count(r, n):
     )
     value = total * r**n * factorial(n)
     # integrality is part of the identity; a failure here is a finding
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"d({r}, {n}) came out as {value}, not an integer")
     return int(value)
 
 
@@ -212,17 +211,19 @@ def group_qt_bruteforce(r, n, order=STANDARD, bound=None):
 def qt_derangement_formula(r, n):
     """[r]_t^n [n]_q! sum_i (-1)^i q^C(i,2) / ([r]_t^i [i]_q!).
 
-    Each term is divided out exactly in Z[q,t]; a residue would signal
-    an identity violation and raises InexactDivisionError.
+    The i-th quotient is the previous one divided by [r]_t and then by
+    [i]_q, each an exact division in Z[q,t] with its remainder checked, so
+    together they divide by [r]_t^i [i]_q!; a residue would signal an
+    identity violation and raises InexactDivisionError.
     """
     _require_r(r)
     _require_n(n)
-    full = t_bracket(r) ** n * q_factorial(n)
-    total = BivariatePolynomial.zero()
-    for i in range(n + 1):
-        quotient = full.exact_div(t_bracket(r) ** i * q_factorial(i))
-        term = BivariatePolynomial.monomial((-1) ** i, comb(i, 2)) * quotient
-        total = total + term
+    bracket = t_bracket(r)
+    quotient = bracket**n * q_factorial(n)
+    total = quotient
+    for i in range(1, n + 1):
+        quotient = quotient.exact_div(bracket).exact_div(q_integer(i))
+        total = total + BivariatePolynomial.monomial((-1) ** i, comb(i, 2)) * quotient
     return total
 
 
@@ -351,38 +352,39 @@ def derangement_egf(r, order):
 
 
 def exc_derangement_egf(r, order):
-    """(1-q) exp(x(r-1)) / (exp(qrx) - q exp(rx)) over Q(q)."""
+    """(1-q) exp(x(r-1)) / (exp(qrx) - q exp(rx)) as a q-EGF over Z[q]."""
     _require_r(r)
-    q = RationalFunctionQ.variable()
-    one = RationalFunctionQ.one()
-    numerator = series_scale(
-        series_exp_linear(RationalFunctionQ.constant(r - 1), order), one - q
-    )
+    q = BivariatePolynomial.q()
+    numerator = series_scale(series_exp_linear(r - 1, order, egf=True), 1 - q)
     denominator = series_sub(
-        series_exp_linear(q * r, order),
-        series_scale(series_exp_linear(RationalFunctionQ.constant(r), order), q),
+        series_exp_linear(q * r, order, egf=True),
+        series_scale(series_exp_linear(r, order, egf=True), q),
     )
-    return series_divide(numerator, denominator)
+    return q_egf_divide(numerator, denominator)
+
+
+def _eulerian_type_egf(numerator_rate, r, order):
+    """(1-q) exp(x c (1-q)) / (1 - q exp(rx(1-q))) for c = numerator_rate."""
+    _require_r(r)
+    q = BivariatePolynomial.q()
+    u = 1 - q
+    numerator = series_scale(series_exp_linear(u * numerator_rate, order, egf=True), u)
+    denominator = series_sub(
+        series_from_coefficients([BivariatePolynomial.one()], order, egf=True),
+        series_scale(series_exp_linear(u * r, order, egf=True), q),
+    )
+    return q_egf_divide(numerator, denominator)
 
 
 def eulerian_egf(r, order):
-    """(1-q) exp(x(r-1)(1-q)) / (1 - q exp(rx(1-q))) over Q(q).
+    """(1-q) exp(x(r-1)(1-q)) / (1 - q exp(rx(1-q))) as a q-EGF over Z[q].
 
     The numerator exponent carries the factor r-1.  Dropping it (see
     ``eulerian_egf_alternate``) gives a series that matches the
     excedance-based polynomials only at r = 2, which is exactly the
     discrepancy the verification suite demonstrates.
     """
-    _require_r(r)
-    q = RationalFunctionQ.variable()
-    one = RationalFunctionQ.one()
-    u = one - q
-    numerator = series_scale(series_exp_linear(u * (r - 1), order), u)
-    denominator = series_sub(
-        series_from_coefficients([one], order),
-        series_scale(series_exp_linear(u * r, order), q),
-    )
-    return series_divide(numerator, denominator)
+    return _eulerian_type_egf(r - 1, r, order)
 
 
 def eulerian_egf_alternate(r, order):
@@ -392,16 +394,7 @@ def eulerian_egf_alternate(r, order):
     descent-normalized Eulerian polynomials rather than the excedance
     normalization used throughout, and for r >= 3 it matches nothing.
     """
-    _require_r(r)
-    q = RationalFunctionQ.variable()
-    one = RationalFunctionQ.one()
-    u = one - q
-    numerator = series_scale(series_exp_linear(u, order), u)
-    denominator = series_sub(
-        series_from_coefficients([one], order),
-        series_scale(series_exp_linear(u * r, order), q),
-    )
-    return series_divide(numerator, denominator)
+    return _eulerian_type_egf(1, r, order)
 
 
 @dataclass(frozen=True)
@@ -501,11 +494,3 @@ def probability_gap_certificate(r, n, bracket_terms=30):
         expected=f"< {allowed}",
         actual=str(worst),
     )
-
-
-# -- small bridges ----------------------------------------------------------------
-
-
-def exc_poly_as_qpoly(poly):
-    """Excedance polynomials are t-free; view them over the rationals."""
-    return QPoly.from_bivariate(poly)

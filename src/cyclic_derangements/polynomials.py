@@ -1,46 +1,198 @@
 """Exact polynomial arithmetic.
 
-Three layers, all built on arbitrary-precision integers and
+Two representations, both built on arbitrary-precision integers and
 ``fractions.Fraction`` (no floats anywhere):
 
-* ``BivariatePolynomial``: sparse polynomials in q and t with integer
-  coefficients, the carrier for every q,t-generating function.
+* ``BivariatePolynomial``: dense polynomials in q and t with integer
+  coefficients, the carrier for every q,t-generating function and for
+  the Z[q] coefficients of the q-exponential generating functions in
+  ``series``.  Large products go through Kronecker substitution: both
+  operands are packed into single Python integers, so the work is done
+  by CPython's integer multiplication (Karatsuba).  Exact division is
+  dense long division with its remainder checked.
 * ``QPoly``: dense univariate polynomials in q over the rationals, used
-  for Sturm chains and as numerator/denominator of rational functions.
-* ``RationalFunctionQ``: the field Q(q), used as the coefficient field
-  of truncated power series.
+  for Sturm chains.
 
 Plus the classical q-analogs: q-integers, q-factorials, the t-bracket
 [r]_t and Gaussian binomial coefficients.
 """
 
 from fractions import Fraction
+from itertools import starmap, zip_longest
 from math import gcd as int_gcd
+from operator import add, sub
 
 
 class InexactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
 
 
-class BivariatePolynomial:
-    """Sparse polynomial in q and t with integer coefficients.
+# -- dense coefficients and Kronecker packing -----------------------------------
+#
+# A polynomial is a flat tuple of coefficients, row by row: the entry at
+# dt * width + dq is the coefficient of q^dq t^dt, with width = q-degree + 1.
+# In canonical form the last row and the last column each hold a nonzero
+# entry, and the zero polynomial is the empty tuple with width 0.  Packing
+# evaluates at q = 2^(8k), t = 2^(8k * stride): every coefficient gets a
+# k-byte slot, and rows laid ``stride`` >= width slots apart stay apart,
+# so a product whose coefficients fit their slots is read off its digits.
 
-    Immutable by convention: the coefficient mapping is copied on
-    construction and never mutated afterwards.
+
+def _canonical(c, width):
+    """(coefficients, width) of a row-major list, trimmed to canonical form."""
+    if c and c[-1]:  # the last entry is in the last row and the last column
+        return tuple(c), width
+    while c and not any(c[-width:]):
+        del c[-width:]
+    if not c:
+        return (), 0
+    if not any(c[width - 1 :: width]):
+        narrow = max(k % width for k, x in enumerate(c) if x) + 1
+        c = [x for k, x in enumerate(c) if k % width < narrow]
+        width = narrow
+    return tuple(c), width
+
+
+def _restride(c, width, stride):
+    """Rows of ``width`` entries laid out ``stride`` apart; one row stays as is."""
+    if len(c) <= width or width == stride:
+        return c
+    pad = [0] * (stride - width)
+    out = []
+    for start in range(0, len(c), width):
+        out.extend(c[start : start + width])
+        out.extend(pad)
+    return out
+
+
+def _unstride(c, stride, width):
+    """Inverse of ``_restride``; None if an entry between rows is nonzero."""
+    out = []
+    for start in range(0, len(c), stride):
+        if any(c[start + width : start + stride]):
+            return None
+        out.extend(c[start : start + width])
+    return out
+
+
+def _max_abs(c):
+    return max(map(abs, c))
+
+
+def _slot_bytes(bits):
+    """Bytes per slot for signed values of magnitude below 2**bits."""
+    return bits // 8 + 1
+
+
+def _bias(slots, k):
+    """The packed value with 2^(8k-1) in every slot."""
+    return int.from_bytes((1 << (8 * k - 1)).to_bytes(k, "little") * slots, "little")
+
+
+def _pack(c, width, stride, k):
+    c = _restride(c, width, stride)
+    half = 1 << (8 * k - 1)
+    data = b"".join([(x + half).to_bytes(k, "little") for x in c])
+    return int.from_bytes(data, "little") - _bias(len(c), k)
+
+
+def _unpack(value, slots, k):
+    """``slots`` coefficients of a packed value, each within its slot."""
+    data = (value + _bias(slots, k)).to_bytes(k * slots, "little")
+    half = 1 << (8 * k - 1)
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + k], "little") - half for i in range(0, k * slots, k)]
+
+
+#: schoolbook steps (one multiply-add each) that cost as much as packing
+#: and unpacking one slot; measured on CPython 3.11, break-even lies at
+#: 2-4 steps per slot for small coefficients and 4-7 for 200-bit ones
+_STEPS_PER_SLOT = 4
+
+
+def _product(a, wa, b, wb):
+    """Coefficients of a * b for nonzero canonical operands; width wa + wb - 1.
+
+    The schoolbook loop runs over the nonzero entries of the sparser
+    operand and all entries of the other; packing takes over once that is
+    more steps than packing and unpacking cost.
+    """
+    width = wa + wb - 1
+    size = (len(a) // wa + len(b) // wb - 1) * width
+    if len(b) - b.count(0) < len(a) - a.count(0):
+        a, wa, b, wb = b, wb, a, wa
+    inner = _restride(b, wb, width)
+    steps = (len(a) - a.count(0)) * len(inner)
+    if steps <= _STEPS_PER_SLOT * (len(a) // wa * width + len(inner) + size):
+        out = [0] * (size + width)
+        for i, x in enumerate(_restride(a, wa, width)):
+            if x:
+                for j, y in enumerate(inner, i):
+                    out[j] += x * y
+        return tuple(out[:size])
+    bits = _max_abs(a).bit_length() + _max_abs(b).bit_length()
+    k = _slot_bytes(bits + min(len(a), len(b)).bit_length())
+    return tuple(_unpack(_pack(a, wa, width, k) * _pack(b, wb, width, k), size, k))
+
+
+def _long_division(p, wp, d, wd):
+    """Coefficients of p / d for nonzero canonical operands, by long
+    division; None if d does not divide p.
+
+    Degrees in q and in t each add under multiplication, which fixes the
+    quotient's shape.  Laying the rows ``wp`` apart maps q to y and t to
+    y^wp, which is injective below q-degree wp, so p / d in Z[y] is the
+    image of the quotient in Z[q,t] and exists exactly when that does.
+    """
+    height, width = len(p) // wp - len(d) // wd + 1, wp - wd + 1
+    if height < 1 or width < 1:
+        return None
+    rem = list(p)
+    flat_d = list(_restride(d, wd, wp))
+    while not flat_d[-1]:
+        flat_d.pop()
+    shift, lead = len(flat_d) - 1, flat_d[-1]
+    terms = [(j, x) for j, x in enumerate(flat_d) if x]
+    quotient = [0] * (len(rem) - shift)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = rem[i + shift] // lead  # a residue stays in rem and fails the check below
+        if c:
+            quotient[i] = c
+            for j, x in terms:
+                rem[i + j] -= c * x
+    if any(rem):
+        return None
+    return _unstride(quotient, wp, width)
+
+
+class BivariatePolynomial:
+    """Dense polynomial in q and t with integer coefficients.
+
+    Immutable: the coefficients are stored in canonical form (see above)
+    as ``_c`` with row width ``_w`` and never mutated.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_c", "_w")
 
     def __init__(self, coeffs=None):
-        store = {}
-        if coeffs:
-            for (dq, dt), c in coeffs.items():
-                c = int(c)
-                if dq < 0 or dt < 0:
-                    raise ValueError("monomial degrees must be nonnegative")
-                if c:
-                    store[(int(dq), int(dt))] = c
-        self._coeffs = store
+        terms = []
+        for (dq, dt), c in (coeffs or {}).items():
+            c = int(c)
+            if dq < 0 or dt < 0:
+                raise ValueError("monomial degrees must be nonnegative")
+            if c:
+                terms.append((int(dq), int(dt), c))
+        width = max((dq for dq, _, _ in terms), default=-1) + 1
+        flat = [0] * (width * (max((dt for _, dt, _ in terms), default=-1) + 1))
+        for dq, dt, c in terms:
+            flat[dt * width + dq] = c
+        self._c, self._w = _canonical(flat, width)
+
+    @classmethod
+    def _of(cls, c, width):
+        result = cls.__new__(cls)
+        result._c, result._w = c, width
+        return result
 
     # -- constructors -------------------------------------------------
 
@@ -50,64 +202,79 @@ class BivariatePolynomial:
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return cls._of((1,), 1)
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0): c})
+        c = int(c)
+        return cls._of((c,), 1) if c else cls._of((), 0)
 
     @classmethod
     def monomial(cls, c, q_degree, t_degree=0):
-        return cls({(q_degree, t_degree): c})
+        c = int(c)
+        if q_degree < 0 or t_degree < 0:
+            raise ValueError("monomial degrees must be nonnegative")
+        if not c:
+            return cls._of((), 0)
+        return cls._of((0,) * ((q_degree + 1) * t_degree + q_degree) + (c,), q_degree + 1)
 
     @classmethod
     def q(cls):
-        return cls({(1, 0): 1})
+        return cls.monomial(1, 1)
 
     @classmethod
     def t(cls):
-        return cls({(0, 1): 1})
+        return cls.monomial(1, 0, 1)
 
     @classmethod
     def from_q_coefficients(cls, coeffs):
         """Build a t-free polynomial from an ascending coefficient list."""
-        return cls({(i, 0): c for i, c in enumerate(coeffs)})
+        coeffs = [int(c) for c in coeffs]
+        return cls._of(*_canonical(coeffs, len(coeffs)))
 
     # -- basic queries -------------------------------------------------
 
     def terms(self):
         """Monomials as ((q_degree, t_degree), coefficient), sorted."""
-        return sorted(self._coeffs.items())
+        c, width = self._c, self._w
+        return [
+            ((dq, dt), x)
+            for dq in range(width)
+            for dt, x in enumerate(c[dq::width])
+            if x
+        ]
 
     def coefficient(self, q_degree, t_degree=0):
-        return self._coeffs.get((q_degree, t_degree), 0)
+        if 0 <= q_degree < self._w and 0 <= t_degree * self._w < len(self._c):
+            return self._c[t_degree * self._w + q_degree]
+        return 0
 
     @property
     def q_degree(self):
-        return max((k[0] for k in self._coeffs), default=-1)
+        return self._w - 1
 
     @property
     def t_degree(self):
-        return max((k[1] for k in self._coeffs), default=-1)
+        return len(self._c) // self._w - 1 if self._c else -1
 
     def is_zero(self):
-        return not self._coeffs
+        return not self._c
 
     def is_t_free(self):
-        return all(dt == 0 for _, dt in self._coeffs)
+        return len(self._c) == self._w
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._c)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = BivariatePolynomial.constant(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._w == other._w and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._w, self._c))
 
     # -- ring operations ----------------------------------------------
 
@@ -119,56 +286,41 @@ class BivariatePolynomial:
             return BivariatePolynomial.constant(other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._coeffs = out
-        return result
+        (a, wa), (b, wb) = (self._c, self._w), (other._c, other._w)
+        width = max(wa, wb)
+        a, b = _restride(a, wa, width), _restride(b, wb, width)
+        c = list(starmap(op, zip_longest(a, b, fillvalue=0)))
+        return BivariatePolynomial._of(*_canonical(c, width))
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._coeffs = {k: -c for k, c in self._coeffs.items()}
-        return result
+        return BivariatePolynomial._of(tuple(-x for x in self._c), self._w)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, sub)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for (aq, at), ac in self._coeffs.items():
-            for (bq, bt), bc in other._coeffs.items():
-                k = (aq + bq, at + bt)
-                s = out.get(k, 0) + ac * bc
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._coeffs = out
-        return result
+        if not self._c or not other._c:
+            return BivariatePolynomial.zero()
+        c = _product(self._c, self._w, other._c, other._w)
+        return BivariatePolynomial._of(c, self._w + other._w - 1)
 
     __rmul__ = __mul__
 
@@ -181,80 +333,47 @@ class BivariatePolynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative_q(self):
-        return BivariatePolynomial(
-            {(dq - 1, dt): c * dq for (dq, dt), c in self._coeffs.items() if dq}
-        )
+        width = self._w
+        c = [k % width * x for k, x in enumerate(self._c) if k % width]
+        return BivariatePolynomial._of(*_canonical(c, width - 1))
 
     def evaluate(self, q_value, t_value=1):
         """Exact evaluation; accepts ints or Fractions."""
         total = 0
-        for (dq, dt), c in self._coeffs.items():
-            total += c * q_value**dq * t_value**dt
+        for start in reversed(range(0, len(self._c), self._w or 1)):
+            value = 0
+            for x in reversed(self._c[start : start + self._w]):
+                value = value * q_value + x
+            total = total * t_value + value
         return total
-
-    def specialize_t(self, t_value):
-        """Substitute an integer for t, returning a t-free polynomial."""
-        out = {}
-        for (dq, dt), c in self._coeffs.items():
-            k = (dq, 0)
-            s = out.get(k, 0) + c * t_value**dt
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        result = BivariatePolynomial.__new__(BivariatePolynomial)
-        result._coeffs = out
-        return result
 
     def q_coefficient_list(self):
         """Ascending integer coefficients; requires a t-free polynomial."""
         if not self.is_t_free():
             raise ValueError("polynomial involves t")
-        out = [0] * (self.q_degree + 1)
-        for (dq, _), c in self._coeffs.items():
-            out[dq] = c
-        return out
+        return list(self._c)
 
     # -- exact division --------------------------------------------------
 
     def exact_div(self, divisor):
-        """Exact division in Z[q,t]; raises InexactDivisionError otherwise.
-
-        Long division eliminating the lexicographically largest monomial
-        of the remainder at each step; terminates because that monomial
-        strictly decreases.
-        """
+        """Exact division in Z[q,t]; raises InexactDivisionError otherwise."""
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        lead_key = max(divisor._coeffs)
-        lead_coeff = divisor._coeffs[lead_key]
-        rem = dict(self._coeffs)
-        quot = {}
-        while rem:
-            mk = max(rem)
-            dq, dt = mk[0] - lead_key[0], mk[1] - lead_key[1]
-            c, residue = divmod(rem[mk], lead_coeff)
-            if dq < 0 or dt < 0 or residue:
-                raise InexactDivisionError(
-                    f"{self!r} is not divisible by {divisor!r}"
-                )
-            quot[(dq, dt)] = quot.get((dq, dt), 0) + c
-            for (bq, bt), bc in divisor._coeffs.items():
-                k = (bq + dq, bt + dt)
-                s = rem.get(k, 0) - c * bc
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return BivariatePolynomial(quot)
+        if not self._c:
+            return self
+        c = _long_division(self._c, self._w, divisor._c, divisor._w)
+        if c is None:
+            raise InexactDivisionError(f"{self!r} is not divisible by {divisor!r}")
+        return BivariatePolynomial._of(tuple(c), self._w - divisor._w + 1)
 
     # -- rendering --------------------------------------------------------
 
@@ -276,19 +395,18 @@ class BivariatePolynomial:
 
     def text(self):
         """Canonical human-readable form, ascending by (t, q) degree."""
-        if not self._coeffs:
-            return "0"
-        ordered = sorted(self._coeffs.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         pieces = []
-        for (dq, dt), c in ordered:
-            term = self._term_text(dq, dt, c)
+        for k, c in enumerate(self._c):
+            if not c:
+                continue
+            term = self._term_text(k % self._w, k // self._w, c)
             if not pieces:
                 pieces.append(term)
             elif term.startswith("-"):
                 pieces.append(f"- {term[1:]}")
             else:
                 pieces.append(f"+ {term}")
-        return " ".join(pieces)
+        return " ".join(pieces) if pieces else "0"
 
     def to_json(self):
         """Term list sorted by (q, t); coefficients as decimal strings."""
@@ -392,16 +510,8 @@ class QPoly:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def variable(cls):
         return cls((0, 1))
-
-    @classmethod
-    def from_bivariate(cls, poly):
-        return cls(poly.q_coefficient_list())
 
     @property
     def coefficients(self):
@@ -521,9 +631,6 @@ class QPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def derivative(self):
         return QPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
 
@@ -579,8 +686,12 @@ def qpoly_gcd(a, b):
 
 
 def as_q_polynomial(poly):
-    """Bridge a t-free BivariatePolynomial into a QPoly."""
-    return QPoly.from_bivariate(poly)
+    """A t-free BivariatePolynomial as a QPoly; a QPoly is returned as is."""
+    if isinstance(poly, BivariatePolynomial):
+        return QPoly(poly.q_coefficient_list())
+    if isinstance(poly, QPoly):
+        return poly
+    raise TypeError(f"expected a polynomial, got {type(poly).__name__}")
 
 
 def integer_scaled(poly):
@@ -589,148 +700,3 @@ def integer_scaled(poly):
     for c in poly.coefficients:
         denom = denom * c.denominator // int_gcd(denom, c.denominator)
     return [int(c * denom) for c in poly.coefficients]
-
-
-# -- rational functions in q ---------------------------------------------------
-
-
-class RationalFunctionQ:
-    """Element of the field Q(q), stored reduced with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, QPoly):
-            num = QPoly((num,)) if isinstance(num, (int, Fraction)) else QPoly(num)
-        if den is None:
-            den = QPoly((1,))
-        elif not isinstance(den, QPoly):
-            den = QPoly((den,)) if isinstance(den, (int, Fraction)) else QPoly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = qpoly_gcd(num, den)
-        if g and g.degree > 0:
-            num = num // g
-            den = den // g
-        # normalize: monic denominator
-        lead = den.leading
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def constant(cls, c):
-        return cls(QPoly((c,)))
-
-    @classmethod
-    def variable(cls):
-        return cls(QPoly.variable())
-
-    @classmethod
-    def one(cls):
-        return cls(QPoly((1,)))
-
-    @classmethod
-    def zero(cls):
-        return cls(QPoly())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self):
-        return self.den.degree == 0
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunctionQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunctionQ(QPoly((other,)))
-        if isinstance(other, QPoly):
-            return RationalFunctionQ(other)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunctionQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        result = RationalFunctionQ.__new__(RationalFunctionQ)
-        result.num = -self.num
-        result.den = self.den
-        return result
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunctionQ(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            return RationalFunctionQ.one() / self ** (-exponent)
-        result = RationalFunctionQ.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def text(self):
-        if self.is_polynomial():
-            return self.num.text()
-        return f"({self.num.text()})/({self.den.text()})"
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"RationalFunctionQ({self.text()!r})"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polynomials import (
-    BivariatePolynomial,
+    InexactDivisionError,
     QPoly,
     as_q_polynomial,
     integer_scaled,
@@ -34,14 +34,6 @@ MAX_SEPARATION_DEPTH = 512
 
 class NotSquarefreeError(ArithmeticError):
     """The polynomial has a repeated root, so Sturm counting is off."""
-
-
-def _as_qpoly(poly):
-    if isinstance(poly, BivariatePolynomial):
-        return as_q_polynomial(poly)
-    if isinstance(poly, QPoly):
-        return poly
-    raise TypeError(f"expected a polynomial, got {type(poly).__name__}")
 
 
 def _sign(x):
@@ -73,7 +65,7 @@ class SturmChain:
     """
 
     def __init__(self, poly):
-        poly = _as_qpoly(poly)
+        poly = as_q_polynomial(poly)
         if poly.is_zero():
             raise ValueError("the zero polynomial has no Sturm chain")
         chain = [poly]
@@ -131,7 +123,7 @@ class SturmChain:
 
 def cauchy_bound(poly):
     """All real roots lie strictly inside (-M, M)."""
-    poly = _as_qpoly(poly)
+    poly = as_q_polynomial(poly)
     if poly.degree < 1:
         raise ValueError("root bound needs degree at least 1")
     lead = abs(poly.leading)
@@ -195,15 +187,21 @@ def _first_rational_root(work):
     return None
 
 
+def _deflate(work, root):
+    """work / (x - root); a remainder means ``root`` was no root."""
+    quotient, remainder = divmod(work, QPoly((-root, Fraction(1))))
+    if remainder:
+        raise InexactDivisionError(f"{root} is not a root of {work}")
+    return quotient
+
+
 def _deflate_rational_roots(work, exact):
     while work.degree >= 1:
         root = _first_rational_root(work)
         if root is None:
             return work
         exact.append(root)
-        quotient, remainder = divmod(work, QPoly((-root, Fraction(1))))
-        assert remainder.is_zero()
-        work = quotient
+        work = _deflate(work, root)
     return work
 
 
@@ -215,7 +213,7 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     split point lands on is deflated the same way, so returned intervals
     never have roots at their endpoints.
     """
-    original = _as_qpoly(poly)
+    original = as_q_polynomial(poly)
     if original.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     SturmChain(original)  # squarefreeness gate, even for the fast exits
@@ -253,10 +251,7 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
             intervals = tuple(sorted(boxes))
             return RootIsolation(original.degree, tuple(sorted(exact)), intervals)
         exact.append(found_rational)
-        monomial = QPoly((-found_rational, Fraction(1)))
-        quotient, remainder = divmod(work, monomial)
-        assert remainder.is_zero()
-        work = quotient
+        work = _deflate(work, found_rational)
     return RootIsolation(original.degree, tuple(sorted(exact)), ())
 
 
@@ -351,7 +346,7 @@ def verify_negative_distinct(poly, allow_zero_root=True):
     ``allow_zero_root`` is set: the derangement excedance polynomials
     pick one up whenever the cyclic group is trivial.
     """
-    p = _as_qpoly(poly)
+    p = as_q_polynomial(poly)
     if p.is_zero():
         return NegativityReport(False, "zero polynomial", degree=-1)
     k = _zero_multiplicity(p)
@@ -417,8 +412,8 @@ def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
     not spoil strictness; the remaining negative roots must alternate
     L s L s ... L when read in increasing order (L from ``larger``).
     """
-    ps = _as_qpoly(smaller)
-    pl = _as_qpoly(larger)
+    ps = as_q_polynomial(smaller)
+    pl = as_q_polynomial(larger)
     if ps.is_zero() or pl.is_zero():
         return InterlacingReport("fail", "zero polynomial")
     if pl.degree != ps.degree + 1:
@@ -499,7 +494,7 @@ def is_unimodal(coefficients):
 
 def roots_report(poly, tolerance=DEFAULT_TOLERANCE):
     """Full JSON-ready root analysis of one polynomial."""
-    p = _as_qpoly(poly)
+    p = as_q_polynomial(poly)
     negativity = verify_negative_distinct(p)
     k = _zero_multiplicity(p) if not p.is_zero() else 0
     reduced = p.shift_down(k) if k else p

@@ -1,17 +1,19 @@
-"""Truncated power series over an exact coefficient field.
+"""Truncated power series over exact coefficients.
 
-A ``TruncatedSeries`` holds coefficients c_0..c_N of sum c_k x^k.  The
-coefficient type is duck-typed: rationals (``Fraction``) or rational
-functions in q (``RationalFunctionQ``) both work, since all operations
-only use +, -, *, / and integer powers.  Arithmetic never reads beyond
+A ``TruncatedSeries`` holds coefficients c_0..c_N of sum c_k x^k, or, in
+EGF form (``egf=True``), the scaled coefficients k! c_k of the same sum.
+Coefficients are rationals (``Fraction``) or integer polynomials in q
+(``BivariatePolynomial``).  The q-exponential generating functions live
+over Z[q] in EGF form, where k! c_k is a polynomial although c_k is not,
+so no rational function ever appears.  Arithmetic never reads beyond
 order N, so truncation is exact by construction.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .polynomials import BivariatePolynomial, RationalFunctionQ
+from .polynomials import BivariatePolynomial
 
 
 class ZeroConstantTermError(ZeroDivisionError):
@@ -26,6 +28,7 @@ class NonPolynomialCoefficientError(ArithmeticError):
 class TruncatedSeries:
     order: int
     coeffs: tuple
+    egf: bool = False
 
     def __post_init__(self):
         if self.order < 0:
@@ -37,19 +40,18 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def to_json(self):
-        """Exact textual coefficients c_0..c_N."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                out.append(str(c))
-            elif isinstance(c, RationalFunctionQ):
-                out.append(c.text())
-            else:
-                out.append(str(c))
-        return {"order": self.order, "coefficients": out}
+        """Exact textual coefficients c_0..c_N (k! c_k in EGF form)."""
+        out = {"order": self.order, "coefficients": [str(c) for c in self.coeffs]}
+        if self.egf:
+            out["egf"] = True
+        return out
 
 
-def series_from_coefficients(coeffs, order):
+def _with(a, coeffs):
+    return TruncatedSeries(a.order, tuple(coeffs), a.egf)
+
+
+def series_from_coefficients(coeffs, order, egf=False):
     """Pad or truncate an explicit coefficient list to the given order."""
     cs = list(coeffs)
     if not cs:
@@ -57,39 +59,42 @@ def series_from_coefficients(coeffs, order):
     zero = cs[0] * 0
     while len(cs) <= order:
         cs.append(zero)
-    return TruncatedSeries(order, tuple(cs[: order + 1]))
+    return TruncatedSeries(order, tuple(cs[: order + 1]), egf)
 
 
-def series_exp_linear(c, order):
-    """exp(c*x) truncated: coefficients c^k / k!."""
+def series_exp_linear(c, order, egf=False):
+    """exp(c*x) truncated: coefficients c^k / k!, or c^k in EGF form."""
     coeffs = []
     power = c**0
     for k in range(order + 1):
-        coeffs.append(power / factorial(k))
+        coeffs.append(power if egf else power / factorial(k))
         power = power * c
-    return TruncatedSeries(order, tuple(coeffs))
+    return TruncatedSeries(order, tuple(coeffs), egf)
 
 
 def _check_orders(a, b):
     if a.order != b.order:
         raise ValueError("series orders differ; truncate explicitly first")
+    if a.egf != b.egf:
+        raise ValueError("one series is in EGF form and the other is not")
 
 
 def series_add(a, b):
     _check_orders(a, b)
-    return TruncatedSeries(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return _with(a, (x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def series_sub(a, b):
     _check_orders(a, b)
-    return TruncatedSeries(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    return _with(a, (x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def series_scale(a, c):
-    return TruncatedSeries(a.order, tuple(c * x for x in a.coeffs))
+    return _with(a, (c * x for x in a.coeffs))
 
 
 def series_mul(a, b):
+    """Cauchy product; in EGF form the binomial convolution."""
     _check_orders(a, b)
     zero = a.coeffs[0] * 0
     out = [zero] * (a.order + 1)
@@ -99,12 +104,19 @@ def series_mul(a, b):
         for j in range(a.order + 1 - i):
             y = b.coeffs[j]
             if y:
-                out[i + j] = out[i + j] + x * y
-    return TruncatedSeries(a.order, tuple(out))
+                term = x * y
+                out[i + j] = out[i + j] + (term * comb(i + j, i) if a.egf else term)
+    return _with(a, out)
 
 
 def series_divide(a, b):
-    """Coefficients of a/b; the divisor's constant term must be invertible."""
+    """Coefficients of a/b; the divisor's constant term must be invertible.
+
+    In EGF form the quotient's scaled coefficients follow from
+    a_k = sum_j C(k,j) out_j b_{k-j}.  A polynomial constant term must
+    divide exactly (InexactDivisionError otherwise); a constant term 1,
+    which the q-EGFs have, needs no division at all.
+    """
     _check_orders(a, b)
     if not b.coeffs[0]:
         raise ZeroConstantTermError("divisor has zero constant term")
@@ -113,14 +125,33 @@ def series_divide(a, b):
     for k in range(a.order + 1):
         acc = a.coeffs[k]
         for j in range(k):
-            acc = acc - out[j] * b.coeffs[k - j]
-        out.append(acc / b0)
-    return TruncatedSeries(a.order, tuple(out))
+            term = out[j] * b.coeffs[k - j]
+            acc = acc - (term * comb(k, j) if a.egf else term)
+        if b0 != 1:
+            acc = acc.exact_div(b0) if isinstance(acc, BivariatePolynomial) else acc / b0
+        out.append(acc)
+    return _with(a, out)
+
+
+def q_egf_divide(numerator, denominator):
+    """numerator / denominator for q-EGFs whose coefficients all carry 1 - q.
+
+    The factor is divided out of every coefficient of both, exactly and
+    checked: a coefficient it does not divide raises InexactDivisionError.
+    """
+    factor = 1 - BivariatePolynomial.q()
+
+    def reduced(s):
+        return _with(s, (c.exact_div(factor) for c in s.coeffs))
+
+    return series_divide(reduced(numerator), reduced(denominator))
 
 
 def coefficient_as_integer(series, k):
     """k! * c_k for a rational series, asserted to be an integer."""
-    value = series.coefficient(k) * factorial(k)
+    value = series.coefficient(k)
+    if not series.egf:
+        value = value * factorial(k)
     if not isinstance(value, Fraction):
         value = Fraction(value)
     if value.denominator != 1:
@@ -131,28 +162,12 @@ def coefficient_as_integer(series, k):
 
 
 def coefficient_as_polynomial(series, k):
-    """k! * c_k reduced to an integer polynomial in q.
+    """k! * c_k as an integer polynomial in q.
 
-    Fails loudly if the rational function's denominator does not cancel
-    or if any resulting coefficient is non-integral: either signals that
-    the identity under test is violated.
+    Over Fractions it must be an integer; a non-integral value signals
+    that the identity under test is violated.
     """
     value = series.coefficient(k)
-    if isinstance(value, (int, Fraction)):
-        return BivariatePolynomial.constant(coefficient_as_integer(series, k))
-    scaled = value * factorial(k)
-    if not scaled.is_polynomial():
-        raise NonPolynomialCoefficientError(
-            f"coefficient {k} has residual denominator {scaled.den.text()}"
-        )
-    unit = scaled.den.coefficient(0)
-    out = {}
-    for i, c in enumerate(scaled.num.coefficients):
-        c = c / unit
-        if c.denominator != 1:
-            raise NonPolynomialCoefficientError(
-                f"coefficient {k} has non-integer q^{i} term {c}"
-            )
-        if c:
-            out[(i, 0)] = int(c)
-    return BivariatePolynomial(out)
+    if isinstance(value, BivariatePolynomial):
+        return value if series.egf else value * factorial(k)
+    return BivariatePolynomial.constant(coefficient_as_integer(series, k))

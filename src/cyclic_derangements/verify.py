@@ -17,6 +17,7 @@ from math import comb
 from . import counting, roots
 from .polynomials import (
     BivariatePolynomial,
+    as_q_polynomial,
     is_palindromic,
     q_binomial,
     reciprocal_check,
@@ -520,9 +521,7 @@ def suite_roots():
                 )
             )
         for n in range(2, 9):
-            coeffs = counting.exc_poly_as_qpoly(
-                counting.exc_derangement_poly(r, n)
-            ).coefficients
+            coeffs = as_q_polynomial(counting.exc_derangement_poly(r, n)).coefficients
             checks.append(
                 Check(
                     "roots",

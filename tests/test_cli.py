@@ -1,4 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from importlib import metadata
 from pathlib import Path
 
@@ -117,6 +123,24 @@ def test_poly_eulerian_and_group(capsys):
     assert code == 0 and out.strip() == "1 + 2q + 2q^2 + q^3"
 
 
+#: sha256 of the concatenated ``poly --format json`` output for every kind
+#: on r 1..5, n 0..10, as printed before the polynomial core became dense
+POLY_JSON_SHA256 = "a17b29495d3063512298118503cb7e34afe4a628e6d24a33862a1e9de58a5981"
+
+
+def test_poly_json_is_byte_identical_on_the_golden_grid():
+    digest = hashlib.sha256()
+    for kind in ("qt-derangement", "qt-group", "exc-derangement", "eulerian"):
+        for r in range(1, 6):
+            for n in range(11):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    argv = ["poly", "--kind", kind, "--r", str(r), "--n", str(n)]
+                    assert cli.main(argv + ["--format", "json"]) == 0
+                digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == POLY_JSON_SHA256
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -230,6 +254,24 @@ def test_dump_derangements_only_with_alternate_order(capsys):
 
 
 # -- error handling ----------------------------------------------------------------
+
+
+def test_dump_into_a_closed_pipe_exits_quietly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclic_derangements.cli", "dump", "--r", "2", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()  # like ``| head -1``; 3840 lines overflow the pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert first["element"] == "1,2,3,4,5"
 
 
 def test_bad_element_exits_two(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclic_derangements import counting
 from cyclic_derangements.counting import (
     COUNT_METHODS,
     REFERENCE_COUNTS,
@@ -59,6 +60,14 @@ def test_recurrences_agree_with_formula(r, n):
     assert derangement_count_one_term(r, n) == expected
     if r >= 2:
         assert derangement_count_mixed_transform(r, n) == expected
+
+
+def test_formula_raises_when_the_sum_is_not_integral(monkeypatch):
+    # a wrong factorial breaks the identity; the integrality check must
+    # raise, not be stripped as an assert would be under python -O
+    monkeypatch.setattr(counting, "factorial", lambda k: k + 2)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        derangement_count(1, 1)
 
 
 def test_transform_refuses_trivial_modulus():

@@ -1,13 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclic_derangements import polynomials
 from cyclic_derangements.polynomials import (
     BivariatePolynomial,
     InexactDivisionError,
     QPoly,
-    RationalFunctionQ,
     as_q_polynomial,
     integer_scaled,
     is_palindromic,
@@ -104,6 +105,20 @@ def test_exact_div_rejects_remainders():
     q = BivariatePolynomial.q()
     with pytest.raises(InexactDivisionError):
         (q**2 + 1).exact_div(q + 1)
+
+
+def test_exact_div_rejects_non_unit_leading_coefficient_and_high_degree():
+    q, t = BivariatePolynomial.q(), BivariatePolynomial.t()
+    assert (6 * q + 3).exact_div(2 * q + 1) == BivariatePolynomial.constant(3)
+    for dividend, divisor in [
+        (q**2 + q, 2 * q + 2),  # leading coefficient 2 does not divide 1
+        (3 * q, BivariatePolynomial.constant(2)),
+        (q, q**2),  # divisor q-degree above the dividend's
+        (q * t, t**2),  # divisor t-degree above the dividend's
+        (t**2 + q, t + q),
+    ]:
+        with pytest.raises(InexactDivisionError):
+            dividend.exact_div(divisor)
 
 
 def test_text_and_json_forms():
@@ -215,37 +230,117 @@ def test_as_q_polynomial_bridge():
     q = BivariatePolynomial.q()
     p = as_q_polynomial(3 + q**2)
     assert p.coefficients == (Fraction(3), Fraction(0), Fraction(1))
+    assert as_q_polynomial(p) is p
+    with pytest.raises(ValueError):
+        as_q_polynomial(q + BivariatePolynomial.t())
+    with pytest.raises(TypeError):
+        as_q_polynomial([3, 0, 1])
 
 
-# -- RationalFunctionQ ----------------------------------------------------------------
+# -- differential checks against a schoolbook reference -----------------------
+#
+# The reference works on {(q_degree, t_degree): coefficient} dicts: the
+# double loop for products, and long division that cancels the largest
+# monomial of the remainder, by (q, t) degree, until none is left.
 
 
-def test_rational_function_reduction():
-    x = QPoly.variable()
-    f = RationalFunctionQ((x + 1) * (x - 1), (x + 1) * 2)
-    assert f.num * 2 == x - 1
-    assert f.den == QPoly((Fraction(1),))
-    assert f == RationalFunctionQ(x - 1, QPoly((Fraction(2),)))
+def reference_mul(a, b):
+    out = {}
+    for (aq, at), ac in a.items():
+        for (bq, bt), bc in b.items():
+            key = (aq + bq, at + bt)
+            out[key] = out.get(key, 0) + ac * bc
+    return {k: c for k, c in out.items() if c}
 
 
-@given(st.integers(-4, 4), st.integers(1, 4))
-def test_rational_function_field_ops(a, b):
-    x = RationalFunctionQ.variable()
-    f = (x + a) / (x**2 + b)
-    assert f * (x**2 + b) == x + a
-    assert (f - f).is_zero()
-    assert (f / f == RationalFunctionQ.one()) or f.is_zero()
-    assert (RationalFunctionQ.one() / f) * f == RationalFunctionQ.one() or f.is_zero()
+def reference_exact_div(p, d):
+    """The quotient as a dict, or None when d does not divide p."""
+    lead = max(d)
+    rem = dict(p)
+    quot = {}
+    while rem:
+        top = max(rem)
+        dq, dt = top[0] - lead[0], top[1] - lead[1]
+        c, residue = divmod(rem[top], d[lead])
+        if dq < 0 or dt < 0 or residue:
+            return None
+        quot[(dq, dt)] = c
+        for (bq, bt), bc in d.items():
+            key = (bq + dq, bt + dt)
+            rem[key] = rem.get(key, 0) - c * bc
+            if not rem[key]:
+                del rem[key]
+    return quot
 
 
-def test_rational_function_pow_and_zero_division():
-    x = RationalFunctionQ.variable()
-    assert x**-2 == RationalFunctionQ.one() / (x * x)
-    with pytest.raises(ZeroDivisionError):
-        x / RationalFunctionQ.zero()
+COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
 
 
-def test_rational_function_is_polynomial():
-    x = RationalFunctionQ.variable()
-    assert (x * x + 1).is_polynomial()
-    assert not (RationalFunctionQ.one() / x).is_polynomial()
+def term_dicts(max_deg=10, max_terms=40):
+    """Zero, constant, q-only, t-only, sparse or dense polynomials as dicts.
+
+    Dense rectangles of a few rows and columns are large enough for
+    products to go through Kronecker packing.
+    """
+
+    def of_shape(shape):
+        if shape == "dense":
+            sides = st.tuples(st.integers(1, max_deg + 2), st.integers(1, max_deg + 2))
+            return sides.flatmap(
+                lambda hw: st.lists(COEFFS, min_size=hw[0] * hw[1], max_size=hw[0] * hw[1]).map(
+                    lambda cs: {(k % hw[1], k // hw[1]): c for k, c in enumerate(cs)}
+                )
+            )
+        q_top = 0 if shape in ("constant", "t-only") else max_deg
+        t_top = 0 if shape in ("constant", "q-only") else max_deg
+        keys = st.tuples(st.integers(0, q_top), st.integers(0, t_top))
+        return st.dictionaries(keys, COEFFS, max_size=max_terms)
+
+    shapes = st.sampled_from(("constant", "q-only", "t-only", "sparse", "dense"))
+    return shapes.flatmap(of_shape).map(lambda d: {k: c for k, c in d.items() if c})
+
+
+@given(term_dicts(), term_dicts())
+def test_mul_matches_schoolbook_reference(a, b):
+    product = BivariatePolynomial(a) * BivariatePolynomial(b)
+    assert dict(product.terms()) == reference_mul(a, b)
+
+
+def test_large_products_match_reference(monkeypatch):
+    packed = []
+    real_pack = polynomials._pack
+    monkeypatch.setattr(polynomials, "_pack", lambda *args: packed.append(1) or real_pack(*args))
+    rng = random.Random(5)
+    shapes = [((1, 40), (1, 30)), ((6, 9), (5, 7)), ((12, 1), (3, 25)), ((1, 3), (20, 30))]
+    for (ha, wa), (hb, wb) in shapes:
+        a = {(k % wa, k // wa): rng.randrange(-(2**90), 2**90) for k in range(ha * wa)}
+        b = {(k % wb, k // wb): rng.randrange(-(2**70), 2**70) for k in range(hb * wb)}
+        product = BivariatePolynomial(a) * BivariatePolynomial(b)
+        assert dict(product.terms()) == reference_mul(a, b)
+    assert packed  # the large dense shapes went through Kronecker packing
+
+
+@given(term_dicts(), term_dicts())
+def test_exact_div_matches_reference_on_exact_quotients(a, d):
+    if not d:
+        return
+    p = reference_mul(a, d)
+    quotient = BivariatePolynomial(p).exact_div(BivariatePolynomial(d))
+    assert dict(quotient.terms()) == reference_exact_div(p, d) == a
+
+
+@given(term_dicts(), term_dicts(), term_dicts(max_deg=3, max_terms=4))
+def test_exact_div_agrees_with_reference_on_perturbed_dividends(a, d, noise):
+    if not d:
+        return
+    p = reference_mul(a, d)
+    for key, c in noise.items():
+        p[key] = p.get(key, 0) + c
+    p = {k: c for k, c in p.items() if c}
+    expected = reference_exact_div(p, d)
+    dividend, divisor = BivariatePolynomial(p), BivariatePolynomial(d)
+    if expected is None:
+        with pytest.raises(InexactDivisionError):
+            dividend.exact_div(divisor)
+    else:
+        assert dict(dividend.exact_div(divisor).terms()) == expected

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclic_derangements import roots
 from cyclic_derangements.counting import exc_derangement_poly
-from cyclic_derangements.polynomials import QPoly
+from cyclic_derangements.polynomials import InexactDivisionError, QPoly
 from cyclic_derangements.roots import (
     DEFAULT_TOLERANCE,
     NotSquarefreeError,
@@ -103,6 +104,28 @@ def test_isolation_honors_custom_tolerance():
     assert all(hi - lo <= Fraction(1, 8) for lo, hi in isolation.intervals)
     with pytest.raises(NotSquarefreeError):
         isolate_roots(QPoly((1, 2, 1)))
+
+
+def test_deflating_a_non_root_raises(monkeypatch):
+    with pytest.raises(InexactDivisionError):
+        roots._deflate(CUBIC, Fraction(2))
+    assert roots._deflate(CUBIC, Fraction(1)) == linear_product([-2, -5])
+    # the divisor search hands over a non-root: deflation must refuse it
+    monkeypatch.setattr(roots, "_first_rational_root", lambda work: Fraction(3))
+    with pytest.raises(InexactDivisionError):
+        isolate_roots(CUBIC)
+
+
+def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
+    # bisection of (x - 1)(x + 3) starts at the midpoint 0 of the symmetric
+    # Cauchy interval; a value that misreports 0 as a root must be caught
+    monkeypatch.setattr(roots, "_first_rational_root", lambda work: None)
+    real_evaluate = QPoly.evaluate
+    monkeypatch.setattr(
+        QPoly, "evaluate", lambda self, x: 0 if x == 0 else real_evaluate(self, x)
+    )
+    with pytest.raises(InexactDivisionError):
+        isolate_roots(linear_product([1, -3]))
 
 
 def test_isolation_json_shape():

@@ -4,13 +4,14 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclic_derangements.polynomials import RationalFunctionQ
+from cyclic_derangements.polynomials import BivariatePolynomial, InexactDivisionError
 from cyclic_derangements.series import (
     NonPolynomialCoefficientError,
     TruncatedSeries,
     ZeroConstantTermError,
     coefficient_as_integer,
     coefficient_as_polynomial,
+    q_egf_divide,
     series_add,
     series_divide,
     series_exp_linear,
@@ -45,9 +46,9 @@ def test_exp_series_coefficients():
 def test_from_coefficients_pads_with_matching_zero():
     s = series_from_coefficients([F(3), F(1)], 4)
     assert s.coeffs == (F(3), F(1), F(0), F(0), F(0))
-    one = RationalFunctionQ.one()
-    t = series_from_coefficients([one], 2)
-    assert t.coefficient(2) == RationalFunctionQ.zero()
+    one = BivariatePolynomial.one()
+    t = series_from_coefficients([one], 2, egf=True)
+    assert t.coefficient(2) == BivariatePolynomial.zero()
 
 
 def test_order_mismatch_rejected():
@@ -103,17 +104,77 @@ def test_coefficient_as_integer():
 
 
 def test_coefficient_as_polynomial_over_rational_functions():
-    q = RationalFunctionQ.variable()
-    s = series_exp_linear(q, 3)
+    q = BivariatePolynomial.q()
+    s = series_exp_linear(q, 3, egf=True)
     p = coefficient_as_polynomial(s, 2)  # 2! * q^2/2! = q^2
     assert p.q_coefficient_list() == [0, 0, 1]
+    ordinary = series_from_coefficients([q, q], 3)
+    assert coefficient_as_polynomial(ordinary, 1) == q
 
 
 def test_coefficient_as_polynomial_rejects_residual_denominator():
-    q = RationalFunctionQ.variable()
-    s = series_from_coefficients([RationalFunctionQ.one() / q], 2)
-    with pytest.raises(NonPolynomialCoefficientError):
-        coefficient_as_polynomial(s, 0)
+    # exp(x) / (1 - q): the numerator lacks the factor 1 - q, so the
+    # quotient has a denominator left over and must not come out at all
+    one = BivariatePolynomial.one()
+    numerator = series_exp_linear(one, 2, egf=True)
+    denominator = series_from_coefficients([1 - BivariatePolynomial.q()], 2, egf=True)
+    with pytest.raises(InexactDivisionError):
+        q_egf_divide(numerator, denominator)
+
+
+# -- EGF form over Z[q] ---------------------------------------------------------------
+
+
+def zq_egf_series(order=5):
+    polys = st.lists(st.integers(-6, 6), max_size=4).map(
+        BivariatePolynomial.from_q_coefficients
+    )
+    return st.lists(polys, min_size=order + 1, max_size=order + 1).map(
+        lambda cs: TruncatedSeries(order, tuple(cs), egf=True)
+    )
+
+
+def at_q(series, q_value):
+    """The ordinary Fraction series of an EGF-form series at q = q_value."""
+    return TruncatedSeries(
+        series.order,
+        tuple(Fraction(c.evaluate(q_value), factorial(k)) for k, c in enumerate(series.coeffs)),
+    )
+
+
+@given(zq_egf_series(), zq_egf_series())
+def test_egf_mul_and_divide_over_zq(a, b):
+    product = series_mul(a, b)
+    assert at_q(product, 2).coeffs == series_mul(at_q(a, 2), at_q(b, 2)).coeffs
+    unit = TruncatedSeries(b.order, (BivariatePolynomial.one(),) + b.coeffs[1:], egf=True)
+    assert series_divide(series_mul(a, unit), unit) == a
+
+
+def test_egf_divide_needs_invertible_constant_term():
+    q = BivariatePolynomial.q()
+    numerator = series_exp_linear(q, 3, egf=True)
+    with pytest.raises(ZeroConstantTermError):
+        series_divide(numerator, series_from_coefficients([0 * q, q], 3, egf=True))
+    # a constant term -1 is a unit of Z[q]; 2 is not
+    minus_one = series_from_coefficients([BivariatePolynomial.constant(-1)], 3, egf=True)
+    assert series_divide(numerator, minus_one) == series_scale(numerator, -1)
+    two = series_from_coefficients([BivariatePolynomial.constant(2)], 3, egf=True)
+    with pytest.raises(InexactDivisionError):
+        series_divide(numerator, two)
+    with pytest.raises(ValueError):
+        series_divide(numerator, series_exp_linear(F(1), 3))
+
+
+def test_q_egf_divide_takes_out_one_minus_q_once():
+    q = BivariatePolynomial.q()
+    u = 1 - q
+    reduced_numerator = series_exp_linear(q + 2, 4, egf=True)
+    reduced_denominator = series_from_coefficients([BivariatePolynomial.one(), q, 3 * q], 4, egf=True)
+    expected = series_divide(reduced_numerator, reduced_denominator)
+    assert q_egf_divide(
+        series_scale(reduced_numerator, u), series_scale(reduced_denominator, u)
+    ) == expected
+    assert expected.to_json()["egf"] is True
 
 
 def test_to_json_exact_strings():
