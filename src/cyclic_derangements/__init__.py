@@ -16,6 +16,7 @@ from .counting import (
     CountTable,
     Discrepancy,
     REFERENCE_COUNTS,
+    count_by_method,
     count_table,
     derangement_count,
     derangement_count_enumerated,
@@ -23,6 +24,7 @@ from .counting import (
     derangement_count_one_term,
     derangement_count_two_term,
     derangement_egf,
+    distribution,
     egf_check_derangements,
     egf_check_eulerian,
     egf_check_exc_derangements,
@@ -31,7 +33,6 @@ from .counting import (
     eulerian_egf,
     eulerian_egf_alternate,
     eulerian_from_exc,
-    eulerian_poly,
     exc_derangement_bruteforce,
     exc_derangement_egf,
     exc_derangement_poly,

@@ -56,11 +56,8 @@ def _order_from_name(name):
 
 
 def _table_cell(method, r, n, bound):
-    fn = counting.COUNT_METHODS[method]
     try:
-        if method == "brute-force":
-            return fn(r, n, bound)
-        return fn(r, n)
+        return counting.count_by_method(method, r, n, bound)
     except (ValueError, EnumerationBoundError) as exc:
         return str(exc)
 

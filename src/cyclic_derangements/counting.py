@@ -15,6 +15,7 @@ deliberately reported discrepancy), and a rational certificate that
 d(r,n) / (r^n n!) converges to exp(-1/r).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -139,14 +140,18 @@ COUNT_METHODS = {
 }
 
 
-def count_table(r, n_max, method="formula", bound=None):
+def count_by_method(method, r, n, bound=None):
+    """d(r, n) by the named route; only brute-force takes the enumeration bound."""
     fn = COUNT_METHODS.get(method)
     if fn is None:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(COUNT_METHODS)}")
     if method == "brute-force":
-        values = tuple(fn(r, n, bound) for n in range(n_max + 1))
-    else:
-        values = tuple(fn(r, n) for n in range(n_max + 1))
+        return fn(r, n, bound)
+    return fn(r, n)
+
+
+def count_table(r, n_max, method="formula", bound=None):
+    values = tuple(count_by_method(method, r, n, bound) for n in range(n_max + 1))
     return CountTable(r, values, method)
 
 
@@ -193,6 +198,11 @@ def reference_discrepancies():
 # -- q,t-refinements -----------------------------------------------------------
 
 
+def distribution(elements, key):
+    """Sum of q^i t^j over the elements, where (i, j) = key(element)."""
+    return BivariatePolynomial(Counter(map(key, elements)))
+
+
 def group_qt_closed(r, n):
     """sum over the whole group of q^maj t^sgn = [r]_t^n [n]_q!."""
     _require_r(r)
@@ -200,12 +210,12 @@ def group_qt_closed(r, n):
     return t_bracket(r) ** n * q_factorial(n)
 
 
+def _maj_sgn(order):
+    return lambda sigma: (major_index(sigma, order), exponent_sum(sigma))
+
+
 def group_qt_bruteforce(r, n, order=STANDARD, bound=None):
-    acc = {}
-    for sigma in enumerate_group(r, n, bound):
-        key = (major_index(sigma, order), exponent_sum(sigma))
-        acc[key] = acc.get(key, 0) + 1
-    return BivariatePolynomial(acc)
+    return distribution(enumerate_group(r, n, bound), _maj_sgn(order))
 
 
 def qt_derangement_formula(r, n):
@@ -259,11 +269,7 @@ def qt_derangement_one_term(r, n):
 
 
 def qt_derangement_bruteforce(r, n, order=STANDARD, bound=None):
-    acc = {}
-    for sigma in enumerate_derangements(r, n, bound):
-        key = (major_index(sigma, order), exponent_sum(sigma))
-        acc[key] = acc.get(key, 0) + 1
-    return BivariatePolynomial(acc)
+    return distribution(enumerate_derangements(r, n, bound), _maj_sgn(order))
 
 
 # -- Eulerian / excedance polynomials -------------------------------------------
@@ -275,68 +281,57 @@ def exc_derangement_poly(r, n):
     D_n = (n-1) r q (D_{n-1} + D_{n-2}) + (r-1) D_{n-1}
           + r q (1-q) D'_{n-1},  D_0 = 1, D_1 = r - 1.
     """
+    return _exc_derangement_polys(r, n)[n]
+
+
+def _exc_derangement_polys(r, n):
+    """D_0..D_n from one pass of the recurrence of ``exc_derangement_poly``."""
     _require_r(r)
     _require_n(n)
     q = BivariatePolynomial.q()
     one = BivariatePolynomial.one()
-    if n == 0:
-        return one
-    prev_prev = one
-    prev = BivariatePolynomial.constant(r - 1)
+    polys = [one, BivariatePolynomial.constant(r - 1)]
     for k in range(2, n + 1):
-        current = (
+        prev_prev, prev = polys[-2:]
+        polys.append(
             (k - 1) * r * q * (prev + prev_prev)
             + (r - 1) * prev
             + r * q * (one - q) * prev.derivative_q()
         )
-        prev_prev, prev = prev, current
-    return prev
+    return polys[: n + 1]
+
+
+def _exc(sigma):
+    return weak_excedance_count(sigma), 0
 
 
 def exc_derangement_bruteforce(r, n, bound=None):
-    acc = {}
-    for sigma in enumerate_derangements(r, n, bound):
-        k = weak_excedance_count(sigma)
-        acc[(k, 0)] = acc.get((k, 0), 0) + 1
-    return BivariatePolynomial(acc)
+    return distribution(enumerate_derangements(r, n, bound), _exc)
 
 
 def eulerian_by_excedances(r, n, bound=None):
     """A_n^{(r)}(q) = sum over the group of q^exc."""
-    acc = {}
-    for sigma in enumerate_group(r, n, bound):
-        k = weak_excedance_count(sigma)
-        acc[(k, 0)] = acc.get((k, 0), 0) + 1
-    return BivariatePolynomial(acc)
+    return distribution(enumerate_group(r, n, bound), _exc)
 
 
 def eulerian_by_descents(r, n, order=STANDARD, bound=None):
     """A_n^{(r)}(q) = sum over the group of q^(n - des)."""
-    acc = {}
-    for sigma in enumerate_group(r, n, bound):
-        k = n - descent_count(sigma, order)
-        acc[(k, 0)] = acc.get((k, 0), 0) + 1
-    return BivariatePolynomial(acc)
-
-
-def eulerian_poly(r, n, route="exc", bound=None):
-    """Brute-force Eulerian polynomial; routes must agree (verified suites)."""
-    if route == "exc":
-        return eulerian_by_excedances(r, n, bound)
-    if route == "des":
-        return eulerian_by_descents(r, n, bound=bound)
-    raise ValueError(f"unknown route {route!r}; choose 'exc' or 'des'")
+    return distribution(
+        enumerate_group(r, n, bound),
+        lambda sigma: (n - descent_count(sigma, order), 0),
+    )
 
 
 def eulerian_from_exc(r, n):
     """A_n^{(r)}(q) = sum_k C(n,k) q^k D_{n-k}^{(r)}(q), recurrence-based."""
-    _require_r(r)
-    _require_n(n)
+    return _eulerian_from_polys(_exc_derangement_polys(r, n), n)
+
+
+def _eulerian_from_polys(exc_polys, n):
+    """A_n from D_0..D_m (m >= n) by the binomial convolution."""
     total = BivariatePolynomial.zero()
     for k in range(n + 1):
-        total = total + BivariatePolynomial.monomial(
-            comb(n, k), k
-        ) * exc_derangement_poly(r, n - k)
+        total = total + BivariatePolynomial.monomial(comb(n, k), k) * exc_polys[n - k]
     return total
 
 
@@ -414,58 +409,50 @@ class CheckLine:
         return out
 
 
+def _check_lines(label, expected, actual, render=str):
+    """One CheckLine per n, comparing the n-th expected and actual values."""
+    return [
+        CheckLine(
+            label=f"{label} n={n}",
+            passed=got == want,
+            expected=render(want),
+            actual=render(got),
+        )
+        for n, (want, got) in enumerate(zip(expected, actual))
+    ]
+
+
 def egf_check_derangements(r, n_max):
     """n! [x^n] of exp(-x)/(1-rx) against the closed-form counts."""
     series = derangement_egf(r, n_max)
-    lines = []
-    for n in range(n_max + 1):
-        expected = derangement_count(r, n)
-        actual = coefficient_as_integer(series, n)
-        lines.append(
-            CheckLine(
-                label=f"derangement-egf r={r} n={n}",
-                passed=actual == expected,
-                expected=str(expected),
-                actual=str(actual),
-            )
-        )
-    return lines
+    return _check_lines(
+        f"derangement-egf r={r}",
+        [derangement_count(r, n) for n in range(n_max + 1)],
+        [coefficient_as_integer(series, n) for n in range(n_max + 1)],
+    )
 
 
 def egf_check_eulerian(r, n_max):
     """n! [x^n] of the Eulerian EGF against the convolution polynomials."""
     series = eulerian_egf(r, n_max)
-    lines = []
-    for n in range(n_max + 1):
-        expected = eulerian_from_exc(r, n)
-        actual = coefficient_as_polynomial(series, n)
-        lines.append(
-            CheckLine(
-                label=f"eulerian-egf r={r} n={n}",
-                passed=actual == expected,
-                expected=expected.text(),
-                actual=actual.text(),
-            )
-        )
-    return lines
+    exc_polys = _exc_derangement_polys(r, n_max)
+    return _check_lines(
+        f"eulerian-egf r={r}",
+        [_eulerian_from_polys(exc_polys, n) for n in range(n_max + 1)],
+        [coefficient_as_polynomial(series, n) for n in range(n_max + 1)],
+        BivariatePolynomial.text,
+    )
 
 
 def egf_check_exc_derangements(r, n_max):
     """n! [x^n] of the excedance EGF against the recurrence polynomials."""
     series = exc_derangement_egf(r, n_max)
-    lines = []
-    for n in range(n_max + 1):
-        expected = exc_derangement_poly(r, n)
-        actual = coefficient_as_polynomial(series, n)
-        lines.append(
-            CheckLine(
-                label=f"exc-derangement-egf r={r} n={n}",
-                passed=actual == expected,
-                expected=expected.text(),
-                actual=actual.text(),
-            )
-        )
-    return lines
+    return _check_lines(
+        f"exc-derangement-egf r={r}",
+        _exc_derangement_polys(r, n_max),
+        [coefficient_as_polynomial(series, n) for n in range(n_max + 1)],
+        BivariatePolynomial.text,
+    )
 
 
 # -- probability certificate ------------------------------------------------------

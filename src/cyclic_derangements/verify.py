@@ -31,7 +31,7 @@ from .stats import (
     shuffles,
     subcedant_count,
 )
-from .wreath import SignedLetter, enumerate_derangements, enumerate_group, group_order
+from .wreath import SignedLetter, enumerate_group, group_order
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,10 @@ def suite_qt():
 
 
 def _statistics_multiset(words):
-    out = {}
-    for w in words:
-        key = (frozenset(descent_set(w)), exponent_sum(w))
-        out[key] = out.get(key, 0) + 1
-    return out
+    # a descent set D enters as the q-degree sum of 2^i over i in D, one to one
+    return counting.distribution(
+        words, lambda w: (sum(1 << i for i in descent_set(w)), exponent_sum(w))
+    )
 
 
 def _fiber_check(r, n):
@@ -264,11 +263,9 @@ def suite_bijections():
         ((), (SignedLetter(1, 2), SignedLetter(0, 1))),
     ]
     for alpha, beta in word_pairs:
-        total = BivariatePolynomial.zero()
-        for word in shuffles(alpha, beta):
-            total = total + BivariatePolynomial.monomial(
-                1, major_index(word), exponent_sum(word)
-            )
+        total = counting.distribution(
+            shuffles(alpha, beta), lambda w: (major_index(w), exponent_sum(w))
+        )
         closed = q_binomial(len(alpha) + len(beta), len(alpha)) * (
             BivariatePolynomial.monomial(
                 1,
@@ -419,30 +416,13 @@ def _collapse(suite, name, params, lines):
 def suite_egf():
     checks = []
     for r in (1, 2, 3):
-        checks.append(
-            _collapse(
-                "egf",
-                "derangement-egf",
-                {"r": r, "n_max": 7},
-                counting.egf_check_derangements(r, 7),
-            )
-        )
-        checks.append(
-            _collapse(
-                "egf",
-                "eulerian-egf",
-                {"r": r, "n_max": 5},
-                counting.egf_check_eulerian(r, 5),
-            )
-        )
-        checks.append(
-            _collapse(
-                "egf",
-                "exc-derangement-egf",
-                {"r": r, "n_max": 5},
-                counting.egf_check_exc_derangements(r, 5),
-            )
-        )
+        for name, egf_check, n_max in (
+            ("derangement-egf", counting.egf_check_derangements, 7),
+            ("eulerian-egf", counting.egf_check_eulerian, 5),
+            ("exc-derangement-egf", counting.egf_check_exc_derangements, 5),
+        ):
+            params = {"r": r, "n_max": n_max}
+            checks.append(_collapse("egf", name, params, egf_check(r, n_max)))
     from .series import coefficient_as_polynomial
 
     def alternate_matches(r):
@@ -545,10 +525,11 @@ SUITES = {
 
 
 def run_suites(names=None):
-    if names is None or names == ["all"]:
-        names = list(SUITES)
+    """Each named suite once, in first-named order; ``all`` names every suite."""
+    if names is None or "all" in names:
+        names = SUITES
     checks = []
-    for name in names:
+    for name in dict.fromkeys(names):
         runner = SUITES.get(name)
         if runner is None:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")

@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
+from operator import eq
 from typing import Iterator, NamedTuple
 
 ENUMERATION_BOUND_ENV = "CYCLIC_DERANGEMENTS_BOUND"
@@ -227,21 +228,16 @@ def enumerate_group(r, n, bound=None) -> Iterator[CyclicPermutation]:
     Refuses up front (EnumerationBoundError) when r^n n! exceeds the
     bound; the default comes from the environment or 10^7.
     """
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    if bound is None:
-        bound = default_enumeration_bound()
-    cardinality = group_order(r, n)
-    if cardinality > bound:
-        raise EnumerationBoundError(r, n, cardinality, bound)
-    exponent_words = _exponent_words(r, n)
-    for values in permutations(range(1, n + 1)):
-        for exps in exponent_words():
-            yield CyclicPermutation(r, tuple(map(SignedLetter, exps, values)))
+    yield from _enumerate(r, n, bound, derangements_only=False)
 
 
 def enumerate_derangements(r, n, bound=None) -> Iterator[CyclicPermutation]:
     """Fixed-point-free elements, in enumeration order of the full group."""
+    yield from _enumerate(r, n, bound, derangements_only=True)
+
+
+def _enumerate(r, n, bound, derangements_only):
+    """The one enumeration loop; the derangement filter is set per value word."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if bound is None:
@@ -249,26 +245,19 @@ def enumerate_derangements(r, n, bound=None) -> Iterator[CyclicPermutation]:
     cardinality = group_order(r, n)
     if cardinality > bound:
         raise EnumerationBoundError(r, n, cardinality, bound)
-    exponent_words = _exponent_words(r, n)
-    for values in permutations(range(1, n + 1)):
-        fixed = tuple(i for i, v in enumerate(values) if v == i + 1)
-        if fixed:
-            for exps in exponent_words():
-                if all(exps[i] for i in fixed):
-                    yield CyclicPermutation(
-                        r, tuple(map(SignedLetter, exps, values))
-                    )
+    # every value word runs through the same exponent words; keep them when small
+    cached = list(product(range(r), repeat=n)) if r**n <= 1_000_000 else None
+    positions, any_exponent, nonzero = range(1, n + 1), range(r), range(1, r)
+    for values in permutations(positions):
+        if derangements_only and any(map(eq, values, positions)):
+            # a position holding its own value needs a nonzero exponent
+            words = product(
+                *[nonzero if v == i else any_exponent for i, v in zip(positions, values)]
+            )
         else:
-            for exps in exponent_words():
-                yield CyclicPermutation(r, tuple(map(SignedLetter, exps, values)))
-
-
-def _exponent_words(r, n):
-    """Factory for the lexicographic exponent loop, cached when small."""
-    if r**n <= 1_000_000:
-        cached = list(product(range(r), repeat=n))
-        return lambda: cached
-    return lambda: product(range(r), repeat=n)
+            words = cached or product(range(r), repeat=n)
+        for exps in words:
+            yield CyclicPermutation(r, tuple(map(SignedLetter, exps, values)))
 
 
 def to_text(sigma):

@@ -141,6 +141,28 @@ def test_poly_json_is_byte_identical_on_the_golden_grid():
     assert digest.hexdigest() == POLY_JSON_SHA256
 
 
+# sha256 of the output of each command, fixed before the enumeration and
+# tally paths were merged
+ENUMERATION_GOLDEN_SHA256 = {
+    ("verify", "--format", "json"):
+        "b95366f2f4738190ddecc883d28cee92d1606b8dba73215592e6d87068432eb7",
+    ("dump", "--r", "2", "--n", "5", "--order", "alternate"):
+        "004c7c8e466a64960dd8aa8a083fdf918f1add80d9d77cbc95a594f936f8695a",
+    ("dump", "--r", "3", "--n", "4", "--derangements-only"):
+        "89198f4d725cc65a20f5d76868f8918fc529d103e05723f37fccfdc292383e73",
+    ("table", "--method", "brute-force", "--r", "1..4", "--n", "0..6", "--format", "json"):
+        "3bbd01e26cde6e95ba8c2eb654629f2f6080bc3949d5497703b306bdfa7c9e75",
+}
+
+
+def test_enumeration_and_battery_output_is_byte_identical():
+    for argv, expected in ENUMERATION_GOLDEN_SHA256.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == expected, argv
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -179,6 +201,28 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--suite", "nonsense"])
     capsys.readouterr()
+
+
+def test_verify_suite_all_anywhere_and_repeats_run_each_suite_once(capsys, monkeypatch):
+    def fake(name):
+        return lambda: [Check(name, "green", True)]
+
+    monkeypatch.setattr(
+        verify, "SUITES", {name: fake(name) for name in ("counts", "qt", "egf")}
+    )
+
+    def suites_run(*names):
+        argv = ["verify", "--format", "json"]
+        for name in names:
+            argv += ["--suite", name]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return [check["suite"] for check in json.loads(out)["checks"]]
+
+    assert suites_run("all", "counts") == ["counts", "qt", "egf"]
+    assert suites_run("egf", "all") == ["counts", "qt", "egf"]
+    assert suites_run("counts", "counts") == ["counts"]
+    assert suites_run("egf", "counts", "egf") == ["egf", "counts"]
 
 
 # -- roots ---------------------------------------------------------------------

@@ -21,7 +21,6 @@ from cyclic_derangements.counting import (
     eulerian_by_excedances,
     eulerian_egf_alternate,
     eulerian_from_exc,
-    eulerian_poly,
     exc_derangement_bruteforce,
     exc_derangement_poly,
     fixed_point_count,
@@ -36,7 +35,7 @@ from cyclic_derangements.counting import (
 )
 from cyclic_derangements.polynomials import BivariatePolynomial
 from cyclic_derangements.series import coefficient_as_polynomial
-from cyclic_derangements.wreath import group_order
+from cyclic_derangements.wreath import ALTERNATE, STANDARD, group_order
 
 # frozen expected counts; all routes must reproduce these
 EXPECTED_COUNTS = {
@@ -144,6 +143,12 @@ def test_qt_brute_force():
     for r, n in ((1, 5), (2, 3), (3, 3)):
         assert qt_derangement_bruteforce(r, n) == qt_derangement_formula(r, n)
         assert group_qt_bruteforce(r, n) == group_qt_closed(r, n)
+    # the q,t-distribution does not depend on the letter order
+    for r in (1, 2, 3):
+        for n in range(5):
+            expected = qt_derangement_formula(r, n)
+            assert qt_derangement_bruteforce(r, n, order=ALTERNATE) == expected
+            assert group_qt_bruteforce(r, n, order=ALTERNATE) == group_qt_closed(r, n)
 
 
 def test_qt_specializes_to_classical_major_index():
@@ -158,10 +163,10 @@ def test_qt_specializes_to_classical_major_index():
 
 def test_eulerian_literal_anchors():
     q = BivariatePolynomial.q()
-    assert eulerian_poly(1, 2) == q + q**2
-    assert eulerian_poly(2, 2) == 1 + 6 * q + q**2
-    assert eulerian_poly(3, 1) == 2 + q
-    assert eulerian_poly(1, 0) == BivariatePolynomial.one()
+    assert eulerian_by_excedances(1, 2) == q + q**2
+    assert eulerian_by_excedances(2, 2) == 1 + 6 * q + q**2
+    assert eulerian_by_excedances(3, 1) == 2 + q
+    assert eulerian_by_excedances(1, 0) == BivariatePolynomial.one()
 
 
 def test_exc_derangement_literal_anchors():
@@ -182,12 +187,10 @@ def test_eulerian_routes_agree():
     for r in (1, 2, 3):
         for n in range(5):
             exc = eulerian_by_excedances(r, n)
-            assert exc == eulerian_by_descents(r, n)
+            for order in (STANDARD, ALTERNATE):
+                assert exc == eulerian_by_descents(r, n, order=order)
             assert exc == eulerian_from_exc(r, n)
-            assert exc == eulerian_poly(r, n, route="des")
             assert exc_derangement_poly(r, n) == exc_derangement_bruteforce(r, n)
-    with pytest.raises(ValueError):
-        eulerian_poly(2, 2, route="middle")
 
 
 def test_eulerian_specializes_to_group_order():

@@ -1,0 +1,17 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclic_derangements"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check written as one vanishes
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

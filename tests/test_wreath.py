@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -175,10 +177,12 @@ def test_enumeration_bound_guard():
         list(enumerate_group(2, 4, bound=100))
     assert info.value.cardinality == 384
     assert info.value.bound == 100
-    # refusal happens before any element is produced
-    gen = enumerate_group(10, 10)
-    with pytest.raises(EnumerationBoundError):
-        next(gen)
+    # refusal happens before any element is produced, on both entry points
+    for source in (enumerate_group, enumerate_derangements):
+        assert inspect.isgeneratorfunction(source)
+        gen = source(10, 10)
+        with pytest.raises(EnumerationBoundError):
+            next(gen)
 
 
 def test_bound_env_override(monkeypatch):
