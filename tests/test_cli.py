@@ -251,6 +251,43 @@ def test_roots_json(capsys):
     assert doc["log_concave"] is True
 
 
+#: sha256 over f"{exit code}\n{stdout}" of ``roots --format json`` for each
+#: kind, r 1..5, n 0..7 (exc-derangement) or 0..6 (eulerian), without and
+#: then with ``--interlace-next``, taken while the Sturm chains still ran
+#: over rational coefficients
+ROOTS_GRID_SHA256 = "7a38ab77204ee7f476527eee3cda50b768ca256a4f3086975803a0c53b530da5"
+
+#: sha256 of the stdout of single ``roots --format json`` runs, same origin
+ROOTS_JSON_SHA256 = {
+    ("--r", "3", "--n", "20"):
+        "7a8d070b269ad75d10261d3caf0f046e66a02daabfdcf9ab2f0889cc79a26e77",
+    ("--r", "5", "--n", "16"):
+        "65c8d5a0dd7c97ba4242e4017fbdd29e314536812ce7f8f82701dc853bc567ac",
+}
+
+
+def _roots_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["roots", *argv, "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_roots_json_is_byte_identical_on_the_golden_grid():
+    digest = hashlib.sha256()
+    for kind, n_max in (("exc-derangement", 7), ("eulerian", 6)):
+        for r in range(1, 6):
+            for n in range(n_max + 1):
+                for extra in ((), ("--interlace-next",)):
+                    code, out = _roots_json("--kind", kind, "--r", str(r), "--n", str(n), *extra)
+                    digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == ROOTS_GRID_SHA256
+    for argv, expected in ROOTS_JSON_SHA256.items():
+        code, out = _roots_json(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+
+
 def test_roots_zero_root_is_reported_not_fatal(capsys):
     code, out, _ = run(
         capsys, "roots", "--r", "1", "--n", "4", "--format", "json"
