@@ -49,7 +49,6 @@ from .counting import (
 from .polynomials import (
     BivariatePolynomial,
     InexactDivisionError,
-    QPoly,
     is_palindromic,
     q_binomial,
     q_factorial,

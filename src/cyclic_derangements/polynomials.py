@@ -1,25 +1,20 @@
-"""Exact polynomial arithmetic.
+"""Exact polynomial arithmetic: the one polynomial core of the package.
 
-Two representations, both built on arbitrary-precision integers and
-``fractions.Fraction`` (no floats anywhere):
-
-* ``BivariatePolynomial``: dense polynomials in q and t with integer
-  coefficients, the carrier for every q,t-generating function and for
-  the Z[q] coefficients of the q-exponential generating functions in
-  ``series``.  Large products go through Kronecker substitution: both
-  operands are packed into single Python integers, so the work is done
-  by CPython's integer multiplication (Karatsuba).  Exact division is
-  dense long division with its remainder checked.
-* ``QPoly``: dense univariate polynomials in q over the rationals, used
-  for Sturm chains.
+``BivariatePolynomial`` holds dense polynomials in q and t with
+arbitrary-precision integer coefficients (no floats anywhere).  It
+carries every q,t-generating function, the Z[q] coefficients of the
+q-exponential generating functions in ``series``, and, as ascending
+integer coefficient lists of t-free members, the Sturm chains in
+``roots``.  Large products go through Kronecker substitution: both
+operands are packed into single Python integers, so the work is done by
+CPython's integer multiplication (Karatsuba).  Exact division is dense
+long division with its remainder checked.
 
 Plus the classical q-analogs: q-integers, q-factorials, the t-bracket
 [r]_t and Gaussian binomial coefficients.
 """
 
-from fractions import Fraction
 from itertools import starmap, zip_longest
-from math import gcd as int_gcd
 from operator import add, sub
 
 
@@ -493,210 +488,3 @@ def q_binomial_by_division(m, k):
     if k < 0 or k > m:
         return BivariatePolynomial.zero()
     return q_factorial(m).exact_div(q_factorial(k) * q_factorial(m - k))
-
-
-# -- univariate rational-coefficient polynomials ------------------------------
-
-
-class QPoly:
-    """Dense univariate polynomial over Fraction, ascending coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def variable(cls):
-        return cls((0, 1))
-
-    @property
-    def coefficients(self):
-        return self._coeffs
-
-    @property
-    def degree(self):
-        return len(self._coeffs) - 1
-
-    def is_zero(self):
-        return not self._coeffs
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly((other,))
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def coefficient(self, k):
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
-
-    @property
-    def leading(self):
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QPoly((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly(tuple(-c for c in self._coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return QPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = QPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self._coeffs)
-        dn = other.degree
-        lead = other.leading
-        if len(rem) <= dn:
-            return QPoly(), QPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] / lead
-            if c:
-                quot[i - dn] = c
-                for j, b in enumerate(other._coeffs):
-                    rem[i - dn + j] -= c * b
-        return QPoly(quot), QPoly(rem[:dn])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def derivative(self):
-        return QPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
-
-    def evaluate(self, x):
-        total = Fraction(0)
-        for c in reversed(self._coeffs):
-            total = total * x + c
-        return total
-
-    def monic(self):
-        if not self._coeffs:
-            return self
-        lead = self._coeffs[-1]
-        return QPoly(tuple(c / lead for c in self._coeffs))
-
-    def shift_down(self, k):
-        """Divide by q^k; requires the k lowest coefficients to vanish."""
-        if any(self._coeffs[i] for i in range(min(k, len(self._coeffs)))):
-            raise InexactDivisionError("polynomial is not divisible by q^k")
-        return QPoly(self._coeffs[k:])
-
-    def text(self, variable="q"):
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                var = variable if i == 1 else f"{variable}^{i}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"QPoly({self.text()!r})"
-
-
-def qpoly_gcd(a, b):
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
-
-
-def as_q_polynomial(poly):
-    """A t-free BivariatePolynomial as a QPoly; a QPoly is returned as is."""
-    if isinstance(poly, BivariatePolynomial):
-        return QPoly(poly.q_coefficient_list())
-    if isinstance(poly, QPoly):
-        return poly
-    raise TypeError(f"expected a polynomial, got {type(poly).__name__}")
-
-
-def integer_scaled(poly):
-    """Scale a QPoly by the lcm of denominators; returns int coefficients."""
-    denom = 1
-    for c in poly.coefficients:
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    return [int(c * denom) for c in poly.coefficients]

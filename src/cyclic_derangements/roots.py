@@ -1,9 +1,15 @@
 """Exact real-root analysis for the excedance polynomial families.
 
-Everything here runs over the rationals: Sturm chains count real roots
-in half-open intervals, roots are isolated by bisection into disjoint
-rational intervals (rational roots are recognized exactly and deflated
-out), and the two verification entry points certify
+A polynomial comes in as a t-free ``BivariatePolynomial`` and is worked
+on as its ascending integer coefficient list.  Sturm chains are
+primitive pseudo-remainder sequences: every member is a primitive
+integer polynomial and a positive multiple of the classical member, so
+it has the classical signs.  The sign at a rational x = u/w (w > 0) is
+the sign of the homogenized value sum c_j u^j w^(d-j), found by integer
+Horner.  Sturm chains count real roots in half-open intervals, roots are
+isolated by bisection into disjoint rational intervals (rational roots
+are recognized exactly and deflated out), and the two verification
+entry points certify
 
 * ``verify_negative_distinct`` -- all roots real, distinct, negative,
   apart from an explicitly reported zero root of multiplicity <= 1, and
@@ -14,16 +20,11 @@ Verdicts are three-valued: a refusal to decide (raised precision limit)
 is reported as ``inconclusive`` rather than silently passing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .polynomials import (
-    InexactDivisionError,
-    QPoly,
-    as_q_polynomial,
-    integer_scaled,
-    qpoly_gcd,
-)
+from .polynomials import BivariatePolynomial, InexactDivisionError
 
 #: isolation intervals are narrowed below this width
 DEFAULT_TOLERANCE = Fraction(1, 2**40)
@@ -36,12 +37,59 @@ class NotSquarefreeError(ArithmeticError):
     """The polynomial has a repeated root, so Sturm counting is off."""
 
 
+def _coefficients(poly):
+    """Ascending integer coefficients of a t-free BivariatePolynomial."""
+    if not isinstance(poly, BivariatePolynomial):
+        raise TypeError(f"expected a BivariatePolynomial, got {type(poly).__name__}")
+    return poly.q_coefficient_list()
+
+
 def _sign(x):
     if x > 0:
         return 1
     if x < 0:
         return -1
     return 0
+
+
+def _sign_at(coeffs, x):
+    """Sign of the polynomial at the rational x, by homogenized integer Horner."""
+    if not coeffs:
+        return 0
+    u, w = x.numerator, x.denominator
+    value, power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        power *= w
+        value = value * u + c * power
+    return _sign(value)
+
+
+def _primitive(coeffs):
+    """The coefficients divided by the gcd of their magnitudes."""
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
+
+
+def _remainder(a, b):
+    """A primitive positive multiple of a mod b, trimmed; [] if b divides a.
+
+    Pseudo-division that scales by |lc(b)| and subtracts with the sign of
+    lc(b), so the multiple stays positive whatever that sign and the
+    degree gap are.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    scale, sign = abs(b[-1]), _sign(b[-1])
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = sign * rem.pop()
+        if c:
+            if scale != 1:
+                rem = [scale * x for x in rem]
+            for j, y in enumerate(b[:-1], i - db):
+                rem[j] -= c * y
+    while rem and not rem[-1]:
+        rem.pop()
+    return _primitive(rem)
 
 
 def _variations(signs):
@@ -57,7 +105,7 @@ def _variations(signs):
 
 
 class SturmChain:
-    """Sturm sequence of a squarefree rational polynomial.
+    """Sturm sequence of a squarefree polynomial, as integer coefficient lists.
 
     Construction doubles as a squarefreeness check: the chain bottoms
     out at gcd(p, p'), and a non-constant tail raises
@@ -65,36 +113,31 @@ class SturmChain:
     """
 
     def __init__(self, poly):
-        poly = as_q_polynomial(poly)
-        if poly.is_zero():
+        p = _coefficients(poly)
+        if not p:
             raise ValueError("the zero polynomial has no Sturm chain")
-        chain = [poly]
-        if poly.degree >= 1:
-            chain.append(poly.derivative())
-            while chain[-1].degree >= 1:
-                rem = chain[-2] % chain[-1]
-                if rem.is_zero():
+        chain = [_primitive(p)]
+        if len(p) > 1:
+            chain.append(_primitive([k * c for k, c in enumerate(p)][1:]))
+            while len(chain[-1]) > 1:
+                rem = _remainder(chain[-2], chain[-1])
+                if not rem:
                     break
-                chain.append(-rem)
-            if chain[-1].is_zero() or (
-                (chain[-2] % chain[-1]).is_zero() and chain[-1].degree >= 1
-            ):
+                chain.append([-c for c in rem])
+            if len(chain[-1]) > 1:
                 raise NotSquarefreeError(
                     "repeated root: gcd with the derivative is non-constant"
                 )
-        self.polynomial = poly
         self.chain = tuple(chain)
 
     def variations_at(self, x):
-        return _variations(_sign(p.evaluate(x)) for p in self.chain)
+        return _variations(_sign_at(p, x) for p in self.chain)
 
     def variations_neg_infinity(self):
-        return _variations(
-            _sign(p.leading) * (-1) ** p.degree for p in self.chain
-        )
+        return _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in self.chain)
 
     def variations_pos_infinity(self):
-        return _variations(_sign(p.leading) for p in self.chain)
+        return _variations(_sign(p[-1]) for p in self.chain)
 
     def count_roots(self, low, high):
         """Distinct real roots in (low, high]; None means +-infinity.
@@ -107,7 +150,7 @@ class SturmChain:
         if low is None:
             va = self.variations_neg_infinity()
         else:
-            if self.polynomial.evaluate(low) == 0:
+            if _sign_at(self.chain[0], low) == 0:
                 raise ValueError("left endpoint is a root; nudge it")
             va = self.variations_at(low)
         vb = (
@@ -121,14 +164,16 @@ class SturmChain:
         return self.count_roots(None, None)
 
 
+def _cauchy_bound(coeffs):
+    return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
+
+
 def cauchy_bound(poly):
     """All real roots lie strictly inside (-M, M)."""
-    poly = as_q_polynomial(poly)
-    if poly.degree < 1:
+    coeffs = _coefficients(poly)
+    if len(coeffs) < 2:
         raise ValueError("root bound needs degree at least 1")
-    lead = abs(poly.leading)
-    peak = max(abs(c) for c in poly.coefficients[:-1])
-    return 1 + peak / lead
+    return _cauchy_bound(coeffs)
 
 
 @dataclass(frozen=True)
@@ -174,29 +219,42 @@ def _divisors(value):
 
 
 def _first_rational_root(work):
-    ints = integer_scaled(work)
-    if ints[0] == 0:
+    if work[0] == 0:
         return Fraction(0)
-    if abs(ints[0]) > _RATIONAL_SEARCH_LIMIT or abs(ints[-1]) > _RATIONAL_SEARCH_LIMIT:
+    if abs(work[0]) > _RATIONAL_SEARCH_LIMIT or abs(work[-1]) > _RATIONAL_SEARCH_LIMIT:
         return None
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
+    denominators = _divisors(work[-1])
+    for num in _divisors(work[0]):
+        for den in denominators:
             for candidate in (Fraction(num, den), Fraction(-num, den)):
-                if work.evaluate(candidate) == 0:
+                if _sign_at(work, candidate) == 0:
                     return candidate
     return None
 
 
 def _deflate(work, root):
-    """work / (x - root); a remainder means ``root`` was no root."""
-    quotient, remainder = divmod(work, QPoly((-root, Fraction(1))))
-    if remainder:
+    """work / (x - root); a remainder means ``root`` was no root.
+
+    By Gauss's lemma the quotient of an integer polynomial by x - p/q is
+    q times an integer polynomial, so every synthetic-division step is
+    an exact integer division when ``root`` is a root.
+    """
+    p, q = root.numerator, root.denominator
+    out = []
+    carry = residue = 0
+    for c in reversed(work):
+        step, residue = divmod(p * carry, q)
+        if residue:
+            break
+        carry = c + step
+        out.append(carry)
+    if residue or carry:
         raise InexactDivisionError(f"{root} is not a root of {work}")
-    return quotient
+    return out[-2::-1]
 
 
 def _deflate_rational_roots(work, exact):
-    while work.degree >= 1:
+    while len(work) > 1:
         root = _first_rational_root(work)
         if root is None:
             return work
@@ -213,33 +271,32 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     split point lands on is deflated the same way, so returned intervals
     never have roots at their endpoints.
     """
-    original = as_q_polynomial(poly)
-    if original.is_zero():
+    original = _coefficients(poly)
+    if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    SturmChain(original)  # squarefreeness gate, even for the fast exits
+    SturmChain(poly)  # squarefreeness gate, even for the fast exits
+    degree = len(original) - 1
     exact = []
     work = _deflate_rational_roots(original, exact)
-    while True:
-        if work.degree < 1:
-            break
-        chain = SturmChain(work)
-        bound = cauchy_bound(work)
+    while len(work) > 1:
+        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
+        bound = _cauchy_bound(work)
         low, high = -bound, bound
-        while work.evaluate(low) == 0:
+        while _sign_at(work, low) == 0:
             low -= 1
-        while work.evaluate(high) == 0:
+        while _sign_at(work, high) == 0:
             high += 1
         found_rational = None
         total = chain.count_roots(low, high)
         pending = [(low, high, total)] if total else []
         boxes = []
-        while pending and found_rational is None:
+        while pending:
             a, b, count = pending.pop()
             if count == 1 and b - a <= tolerance:
                 boxes.append((a, b))
                 continue
             mid = (a + b) / 2
-            if work.evaluate(mid) == 0:
+            if _sign_at(work, mid) == 0:
                 found_rational = mid
                 break
             left = chain.count_roots(a, mid)
@@ -248,11 +305,10 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
             if count - left:
                 pending.append((mid, b, count - left))
         if found_rational is None:
-            intervals = tuple(sorted(boxes))
-            return RootIsolation(original.degree, tuple(sorted(exact)), intervals)
+            return RootIsolation(degree, tuple(sorted(exact)), tuple(sorted(boxes)))
         exact.append(found_rational)
         work = _deflate(work, found_rational)
-    return RootIsolation(original.degree, tuple(sorted(exact)), ())
+    return RootIsolation(degree, tuple(sorted(exact)), ())
 
 
 class _RootBox:
@@ -275,10 +331,10 @@ class _RootBox:
         if self.exact:
             return
         mid = (self.lo + self.hi) / 2
-        value = self.poly.evaluate(mid)
-        if value == 0:
+        sign = _sign_at(self.poly, mid)
+        if sign == 0:
             self.lo = self.hi = mid
-        elif _sign(value) == _sign(self.poly.evaluate(self.hi)):
+        elif sign == _sign_at(self.poly, self.hi):
             self.hi = mid
         else:
             self.lo = mid
@@ -332,11 +388,13 @@ class NegativityReport:
         }
 
 
-def _zero_multiplicity(poly):
-    k = 0
-    while k <= poly.degree and poly.coefficient(k) == 0:
-        k += 1
-    return k
+def _zero_multiplicity(coeffs):
+    return next((k for k, c in enumerate(coeffs) if c), 0)
+
+
+def _shift_down(coeffs, k):
+    """The polynomial divided by q^k, as a BivariatePolynomial."""
+    return BivariatePolynomial.from_q_coefficients(coeffs[k:])
 
 
 def verify_negative_distinct(poly, allow_zero_root=True):
@@ -346,40 +404,38 @@ def verify_negative_distinct(poly, allow_zero_root=True):
     ``allow_zero_root`` is set: the derangement excedance polynomials
     pick one up whenever the cyclic group is trivial.
     """
-    p = as_q_polynomial(poly)
-    if p.is_zero():
+    p = _coefficients(poly)
+    if not p:
         return NegativityReport(False, "zero polynomial", degree=-1)
-    k = _zero_multiplicity(p)
-    if k:
-        p = p.shift_down(k)
+    degree, k = len(p) - 1, _zero_multiplicity(p)
     limit = 1 if allow_zero_root else 0
     if k > limit:
         return NegativityReport(
             False,
             f"root at zero has multiplicity {k}",
-            degree=p.degree + k,
+            degree=degree,
             zero_multiplicity=k,
         )
-    if p.degree == 0:
+    if degree == k:
         return NegativityReport(
             True, "no roots besides the reported zero root", degree=k,
             zero_multiplicity=k,
         )
     try:
-        chain = SturmChain(p)
+        chain = SturmChain(_shift_down(p, k))
     except NotSquarefreeError:
         return NegativityReport(
-            False, "repeated root detected", degree=p.degree + k,
+            False, "repeated root detected", degree=degree,
             zero_multiplicity=k,
         )
     negative = chain.count_roots(None, Fraction(0))
-    passed = negative == p.degree
+    passed = negative == degree - k
     detail = (
-        f"{negative} negative distinct roots out of degree {p.degree}"
+        f"{negative} negative distinct roots out of degree {degree - k}"
         + (f" plus a simple zero root" if k else "")
     )
     return NegativityReport(
-        passed, detail, degree=p.degree + k, zero_multiplicity=k,
+        passed, detail, degree=degree, zero_multiplicity=k,
         negative_roots=negative,
     )
 
@@ -404,6 +460,13 @@ class InterlacingReport:
         }
 
 
+def _share_a_root(a, b):
+    """Whether gcd(a, b) is non-constant, by the primitive remainder sequence."""
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) > 1
+
+
 def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
     """Certify that the roots of ``smaller`` interlace those of ``larger``.
 
@@ -412,14 +475,13 @@ def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
     not spoil strictness; the remaining negative roots must alternate
     L s L s ... L when read in increasing order (L from ``larger``).
     """
-    ps = as_q_polynomial(smaller)
-    pl = as_q_polynomial(larger)
-    if ps.is_zero() or pl.is_zero():
+    ps, pl = _coefficients(smaller), _coefficients(larger)
+    if not ps or not pl:
         return InterlacingReport("fail", "zero polynomial")
-    if pl.degree != ps.degree + 1:
+    if len(pl) != len(ps) + 1:
         return InterlacingReport(
             "fail",
-            f"degree step is {pl.degree - ps.degree}, expected 1",
+            f"degree step is {len(pl) - len(ps)}, expected 1",
         )
     ks, kl = _zero_multiplicity(ps), _zero_multiplicity(pl)
     if ks != kl or ks > 1:
@@ -427,19 +489,20 @@ def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
             "fail",
             f"zero-root multiplicities {ks} and {kl} do not match as simple roots",
         )
-    ps, pl = ps.shift_down(ks), pl.shift_down(kl)
-    for name, p in (("smaller", ps), ("larger", pl)):
+    smaller, larger = _shift_down(ps, ks), _shift_down(pl, kl)
+    ps, pl = ps[ks:], pl[kl:]
+    for name, p in (("smaller", smaller), ("larger", larger)):
         report = verify_negative_distinct(p, allow_zero_root=False)
         if not report.passed:
             return InterlacingReport(
                 "fail", f"{name} polynomial: {report.detail}"
             )
-    if ps.degree >= 1 and pl.degree >= 1 and qpoly_gcd(ps, pl).degree >= 1:
+    if _share_a_root(ps, pl):
         return InterlacingReport("fail", "polynomials share a root")
-    if ps.degree == 0:
+    if len(ps) == 1:
         return InterlacingReport("pass", "nothing to separate", pattern="L")
-    boxes = _boxes(ps, isolate_roots(ps, tolerance), "s") + _boxes(
-        pl, isolate_roots(pl, tolerance), "L"
+    boxes = _boxes(ps, isolate_roots(smaller, tolerance), "s") + _boxes(
+        pl, isolate_roots(larger, tolerance), "L"
     )
     ordered = _separate(boxes)
     if ordered is None:
@@ -448,7 +511,7 @@ def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
             "could not separate root boxes within the precision limit",
         )
     pattern = "".join(box.owner for box in ordered)
-    expected = "L" + "sL" * ps.degree
+    expected = "L" + "sL" * (len(ps) - 1)
     if pattern == expected:
         return InterlacingReport("pass", "roots alternate strictly", pattern=pattern)
     return InterlacingReport(
@@ -494,22 +557,18 @@ def is_unimodal(coefficients):
 
 def roots_report(poly, tolerance=DEFAULT_TOLERANCE):
     """Full JSON-ready root analysis of one polynomial."""
-    p = as_q_polynomial(poly)
-    negativity = verify_negative_distinct(p)
-    k = _zero_multiplicity(p) if not p.is_zero() else 0
-    reduced = p.shift_down(k) if k else p
-    body = {"degree": p.degree, "zero_root_multiplicity": k}
-    if reduced.degree >= 1:
+    coeffs = _coefficients(poly)
+    k = _zero_multiplicity(coeffs)
+    body = {}
+    if len(coeffs) - k > 1:
         try:
-            isolation = isolate_roots(reduced, tolerance)
+            body.update(isolate_roots(_shift_down(coeffs, k), tolerance).to_json())
         except NotSquarefreeError:
-            isolation = None
-        if isolation is not None:
-            body.update(isolation.to_json())
-            body["degree"] = p.degree  # report the undeflated degree
-    coeffs = [int(c) if c.denominator == 1 else str(c) for c in p.coefficients]
+            pass
+    body["degree"] = len(coeffs) - 1  # the undeflated degree
+    body["zero_root_multiplicity"] = k
     body["coefficients"] = coeffs
-    body["negative_distinct"] = negativity.to_json()
-    body["log_concave"] = is_log_concave(p.coefficients)
-    body["unimodal"] = is_unimodal(p.coefficients)
+    body["negative_distinct"] = verify_negative_distinct(poly).to_json()
+    body["log_concave"] = is_log_concave(coeffs)
+    body["unimodal"] = is_unimodal(coeffs)
     return body

@@ -11,13 +11,13 @@ The grids are sized so the whole battery runs in a few seconds; the
 test suite re-runs the expensive cases at larger sizes.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
 from . import counting, roots
 from .polynomials import (
     BivariatePolynomial,
-    as_q_polynomial,
     is_palindromic,
     q_binomial,
     reciprocal_check,
@@ -201,10 +201,7 @@ def suite_qt():
 
 
 def _statistics_multiset(words):
-    # a descent set D enters as the q-degree sum of 2^i over i in D, one to one
-    return counting.distribution(
-        words, lambda w: (sum(1 << i for i in descent_set(w)), exponent_sum(w))
-    )
+    return Counter((descent_set(w), exponent_sum(w)) for w in words)
 
 
 def _fiber_check(r, n):
@@ -501,7 +498,7 @@ def suite_roots():
                 )
             )
         for n in range(2, 9):
-            coeffs = as_q_polynomial(counting.exc_derangement_poly(r, n)).coefficients
+            coeffs = counting.exc_derangement_poly(r, n).q_coefficient_list()
             checks.append(
                 Check(
                     "roots",

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,15 +7,11 @@ from cyclic_derangements import polynomials
 from cyclic_derangements.polynomials import (
     BivariatePolynomial,
     InexactDivisionError,
-    QPoly,
-    as_q_polynomial,
-    integer_scaled,
     is_palindromic,
     q_binomial,
     q_binomial_by_division,
     q_factorial,
     q_integer,
-    qpoly_gcd,
     reciprocal_check,
     t_bracket,
 )
@@ -28,13 +23,6 @@ def bivariates(max_terms=6, max_deg=4, max_coeff=7):
         st.integers(-max_coeff, max_coeff),
         max_size=max_terms,
     ).map(BivariatePolynomial)
-
-
-def qpolys(max_deg=5):
-    return st.lists(
-        st.fractions(min_value=-5, max_value=5, max_denominator=6),
-        max_size=max_deg + 1,
-    ).map(lambda cs: QPoly(tuple(cs)))
 
 
 # -- BivariatePolynomial --------------------------------------------------------
@@ -176,65 +164,12 @@ def test_reciprocal_and_palindromic():
     assert is_palindromic(BivariatePolynomial.zero())
 
 
-# -- QPoly ------------------------------------------------------------------------
-
-
-def test_qpoly_normalization_and_degree():
-    assert QPoly((Fraction(0), Fraction(0))).degree == -1
-    p = QPoly((Fraction(1), Fraction(2), Fraction(0)))
-    assert p.degree == 1 and p.leading == 2
-    assert p.coefficient(5) == 0
-
-
-@given(qpolys(), qpolys())
-def test_qpoly_divmod_invariant(a, b):
-    if b.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            divmod(a, b)
-        return
-    quot, rem = divmod(a, b)
-    assert quot * b + rem == a
-    assert rem.degree < b.degree or rem.is_zero()
-
-
-@given(qpolys())
-def test_qpoly_derivative_of_product(a):
-    b = QPoly((Fraction(-1), Fraction(0), Fraction(3)))
-    lhs = (a * b).derivative()
-    rhs = a.derivative() * b + a * b.derivative()
+@given(bivariates())
+def test_derivative_q_of_product(a):
+    b = BivariatePolynomial({(0, 0): -1, (2, 0): 3, (1, 1): 2})
+    lhs = (a * b).derivative_q()
+    rhs = a.derivative_q() * b + a * b.derivative_q()
     assert lhs == rhs
-
-
-def test_qpoly_gcd_known():
-    x = QPoly.variable()
-    a = (x + 1) * (x - 2)
-    b = (x + 1) * (x + 3)
-    assert qpoly_gcd(a, b) == x + 1
-    assert qpoly_gcd(a, QPoly()) == a.monic()
-
-
-def test_shift_down():
-    x = QPoly.variable()
-    p = x**2 + x**3
-    assert p.shift_down(2) == 1 + x
-    with pytest.raises(InexactDivisionError):
-        (1 + x).shift_down(1)
-
-
-def test_integer_scaled():
-    p = QPoly((Fraction(1, 2), Fraction(1, 3)))
-    assert integer_scaled(p) == [3, 2]
-
-
-def test_as_q_polynomial_bridge():
-    q = BivariatePolynomial.q()
-    p = as_q_polynomial(3 + q**2)
-    assert p.coefficients == (Fraction(3), Fraction(0), Fraction(1))
-    assert as_q_polynomial(p) is p
-    with pytest.raises(ValueError):
-        as_q_polynomial(q + BivariatePolynomial.t())
-    with pytest.raises(TypeError):
-        as_q_polynomial([3, 0, 1])
 
 
 # -- differential checks against a schoolbook reference -----------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclic_derangements import roots
 from cyclic_derangements.counting import exc_derangement_poly
-from cyclic_derangements.polynomials import InexactDivisionError, QPoly
+from cyclic_derangements.polynomials import BivariatePolynomial, InexactDivisionError
 from cyclic_derangements.roots import (
     DEFAULT_TOLERANCE,
     NotSquarefreeError,
@@ -19,16 +20,22 @@ from cyclic_derangements.roots import (
     verify_negative_distinct,
 )
 
+
+def poly(*coeffs):
+    """The t-free polynomial with these ascending coefficients."""
+    return BivariatePolynomial.from_q_coefficients(coeffs)
+
+
 # (x - 1)(x + 2)(x + 5), ascending coefficients
-CUBIC = QPoly((-10, 3, 6, 1))
+CUBIC = poly(-10, 3, 6, 1)
 
 
 def linear_product(roots):
-    """prod (x - rho) for the given roots."""
-    poly = QPoly((1,))
+    """prod (x - rho) for the given integer roots."""
+    product = poly(1)
     for rho in roots:
-        poly = poly * QPoly((-rho, 1))
-    return poly
+        product = product * poly(-rho, 1)
+    return product
 
 
 # -- Sturm chains ------------------------------------------------------------------
@@ -56,14 +63,126 @@ def test_sturm_interval_is_half_open():
 
 def test_sturm_rejects_repeated_roots():
     with pytest.raises(NotSquarefreeError):
-        SturmChain(QPoly((1, 2, 1)))  # (x + 1)^2
+        SturmChain(poly(1, 2, 1))  # (x + 1)^2
+
+
+def test_sturm_counts_roots_of_negated_cubic():
+    chain = SturmChain(-CUBIC)
+    assert chain.count_real_roots() == 3
+    assert chain.count_roots(None, Fraction(0)) == 2
+    assert chain.count_roots(Fraction(-3), Fraction(-2)) == 1
+    assert chain.count_roots(Fraction(3), Fraction(9)) == 0
+
+
+def test_sturm_chain_keeps_signs_past_a_negative_lead_and_a_two_degree_drop():
+    # 3 + x - x^4: the chain member -x + 4 has a negative leading
+    # coefficient and the step that divides by it drops two degrees, so
+    # lc^(gap + 1) would be negative and flip every later sign
+    chain = SturmChain(poly(3, 1, 0, 0, -1))
+    assert [len(p) - 1 for p in chain.chain] == [4, 3, 1, 0]
+    assert chain.chain[2][-1] < 0
+    assert chain.count_real_roots() == 2
+    assert chain.count_roots(None, Fraction(0)) == 1
+    assert chain.count_roots(Fraction(1), Fraction(2)) == 1
+    assert chain.count_roots(Fraction(-2), Fraction(-1)) == 1
+    for p, q in zip(chain.chain, reference_chain([3, 1, 0, 0, -1])):
+        assert len(p) == len(q) and p[-1] * q[-1] > 0  # same degree, same sign
+        assert all(a * q[-1] == b * p[-1] for a, b in zip(p, q))  # proportional
+
+
+def test_roots_input_must_be_a_t_free_bivariate_polynomial():
+    q, t = BivariatePolynomial.q(), BivariatePolynomial.t()
+    for entry in (SturmChain, isolate_roots, verify_negative_distinct, roots_report):
+        with pytest.raises(ValueError):
+            entry(q + t)
+        with pytest.raises(TypeError):
+            entry([3, 0, 1])
+    with pytest.raises(TypeError):
+        verify_interlacing([1, 1], poly(2, 3, 1))
+    assert roots_report(3 + q**2)["coefficients"] == [3, 0, 1]
+
+
+# The classical Sturm chain over Fraction, for comparison: p, p', then the
+# negated Euclidean remainders.
+
+
+def _fraction_remainder(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        for j, y in enumerate(b, len(a) - len(b)):
+            a[j] -= c * y
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def reference_chain(coeffs):
+    chain = [[Fraction(c) for c in coeffs]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1 and (rem := _fraction_remainder(chain[-2], chain[-1])):
+        chain.append([-c for c in rem])
+    return chain
+
+
+def reference_count(chain, low, high):
+    def variations(x):
+        signs = [s for s in (sum(c * x**k for k, c in enumerate(p)) for p in chain) if s]
+        return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+    return variations(low) - variations(high)
+
+
+integer_lists = st.lists(st.just(0) | st.integers(-20, 20), min_size=1, max_size=9).filter(
+    lambda cs: cs[-1]
+)
+
+
+@given(integer_lists, integer_lists)
+def test_remainder_is_a_positive_multiple_of_the_fraction_remainder(a, b):
+    expected = _fraction_remainder([Fraction(c) for c in a], b)
+    rem = roots._remainder(a, b)
+    assert len(rem) == len(expected) < len(b)
+    if rem:
+        assert rem[-1] * expected[-1] > 0
+        assert all(x * expected[-1] == y * rem[-1] for x, y in zip(rem, expected))
+        assert gcd(*rem) == 1  # primitive
+
+
+def test_share_a_root_known():
+    a = linear_product([-1, 2]).q_coefficient_list()
+    b = linear_product([-1, -3]).q_coefficient_list()
+    c = linear_product([4, -3]).q_coefficient_list()
+    assert roots._share_a_root(a, b) and roots._share_a_root(b, a)
+    assert not roots._share_a_root(a, c)
+    assert roots._share_a_root(b, c)
+    assert not roots._share_a_root(a, [5])
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@settings(max_examples=200)
+@given(integer_lists.filter(lambda cs: len(cs) > 1), rationals, rationals)
+def test_sturm_count_matches_the_fraction_reference(coeffs, a, b):
+    chain = reference_chain(coeffs)
+    if len(chain[-1]) > 1:  # gcd(p, p') is not constant
+        with pytest.raises(NotSquarefreeError):
+            SturmChain(poly(*coeffs))
+        return
+    low, high = min(a, b), max(a, b)
+    if low == high or sum(c * low**k for k, c in enumerate(coeffs)) == 0:
+        return
+    assert SturmChain(poly(*coeffs)).count_roots(low, high) == reference_count(
+        chain, low, high
+    )
 
 
 @settings(max_examples=40)
 @given(st.sets(st.integers(1, 25), min_size=1, max_size=5))
 def test_sturm_root_count_matches_construction(magnitudes):
-    poly = linear_product([-m for m in magnitudes])
-    chain = SturmChain(poly)
+    chain = SturmChain(linear_product([-m for m in magnitudes]))
     assert chain.count_real_roots() == len(magnitudes)
     assert chain.count_roots(None, Fraction(0)) == len(magnitudes)
 
@@ -74,7 +193,7 @@ def test_cauchy_bound_encloses_roots():
     chain = SturmChain(CUBIC)
     assert chain.count_roots(-bound, bound) == 3
     with pytest.raises(ValueError):
-        cauchy_bound(QPoly((7,)))
+        cauchy_bound(poly(7))
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -85,31 +204,35 @@ def test_isolation_recovers_rational_roots_exactly():
     assert isolation.exact_roots == (-5, -2, 1)
     assert isolation.intervals == ()
     assert isolation.real_root_count == 3
-    assert isolate_roots(QPoly((-1, 2))).exact_roots == (Fraction(1, 2),)
+    assert isolate_roots(poly(-1, 2)).exact_roots == (Fraction(1, 2),)
 
 
 def test_isolation_boxes_irrational_roots():
-    poly = QPoly((-6, -2, 3, 1))  # (x^2 - 2)(x + 3)
-    isolation = isolate_roots(poly)
+    p = poly(-6, -2, 3, 1)  # (x^2 - 2)(x + 3)
+    isolation = isolate_roots(p)
     assert isolation.exact_roots == (-3,)
     assert len(isolation.intervals) == 2
     for lo, hi in isolation.intervals:
         assert hi - lo <= DEFAULT_TOLERANCE
-        assert poly.evaluate(lo) * poly.evaluate(hi) < 0
+        assert p.evaluate(lo) * p.evaluate(hi) < 0
 
 
 def test_isolation_honors_custom_tolerance():
-    poly = QPoly((-2, 0, 1))  # x^2 - 2
-    isolation = isolate_roots(poly, tolerance=Fraction(1, 8))
+    isolation = isolate_roots(poly(-2, 0, 1), tolerance=Fraction(1, 8))  # x^2 - 2
     assert all(hi - lo <= Fraction(1, 8) for lo, hi in isolation.intervals)
     with pytest.raises(NotSquarefreeError):
-        isolate_roots(QPoly((1, 2, 1)))
+        isolate_roots(poly(1, 2, 1))
 
 
 def test_deflating_a_non_root_raises(monkeypatch):
+    cubic = CUBIC.q_coefficient_list()
     with pytest.raises(InexactDivisionError):
-        roots._deflate(CUBIC, Fraction(2))
-    assert roots._deflate(CUBIC, Fraction(1)) == linear_product([-2, -5])
+        roots._deflate(cubic, Fraction(2))
+    with pytest.raises(InexactDivisionError):
+        roots._deflate(cubic, Fraction(1, 2))  # stops at a non-integral step
+    assert roots._deflate(cubic, Fraction(1)) == [10, 7, 1]  # (x + 2)(x + 5)
+    # Gauss's lemma: x - 1/2 leaves an integer quotient of 2x^2 + 3x - 2
+    assert roots._deflate([2, -5, 2], Fraction(1, 2)) == [-4, 2]
     # the divisor search hands over a non-root: deflation must refuse it
     monkeypatch.setattr(roots, "_first_rational_root", lambda work: Fraction(3))
     with pytest.raises(InexactDivisionError):
@@ -120,16 +243,16 @@ def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
     # bisection of (x - 1)(x + 3) starts at the midpoint 0 of the symmetric
     # Cauchy interval; a value that misreports 0 as a root must be caught
     monkeypatch.setattr(roots, "_first_rational_root", lambda work: None)
-    real_evaluate = QPoly.evaluate
+    real_sign_at = roots._sign_at
     monkeypatch.setattr(
-        QPoly, "evaluate", lambda self, x: 0 if x == 0 else real_evaluate(self, x)
+        roots, "_sign_at", lambda coeffs, x: 0 if x == 0 else real_sign_at(coeffs, x)
     )
     with pytest.raises(InexactDivisionError):
         isolate_roots(linear_product([1, -3]))
 
 
 def test_isolation_json_shape():
-    out = isolate_roots(QPoly((-1, 2))).to_json()
+    out = isolate_roots(poly(-1, 2)).to_json()
     assert out == {
         "degree": 1,
         "real_roots": 1,
@@ -151,35 +274,35 @@ def test_isolation_separates_all_roots(magnitudes):
 
 
 def test_negativity_passes_on_negative_distinct():
-    report = verify_negative_distinct(QPoly((3, 4, 1)))  # (x + 1)(x + 3)
+    report = verify_negative_distinct(poly(3, 4, 1))  # (x + 1)(x + 3)
     assert report.passed
     assert (report.degree, report.zero_multiplicity, report.negative_roots) == (2, 0, 2)
 
 
 def test_negativity_tolerates_one_zero_root():
-    poly = QPoly((0, 3, 4, 1))  # x (x + 1)(x + 3)
-    report = verify_negative_distinct(poly)
+    p = poly(0, 3, 4, 1)  # x (x + 1)(x + 3)
+    report = verify_negative_distinct(p)
     assert report.passed
     assert report.zero_multiplicity == 1
     assert report.negative_roots == 2
-    strict = verify_negative_distinct(poly, allow_zero_root=False)
+    strict = verify_negative_distinct(p, allow_zero_root=False)
     assert not strict.passed
     assert "multiplicity 1" in strict.detail
 
 
 def test_negativity_failure_modes():
-    positive = verify_negative_distinct(QPoly((-1, 1)))  # root at +1
+    positive = verify_negative_distinct(poly(-1, 1))  # root at +1
     assert not positive.passed and positive.negative_roots == 0
-    repeated = verify_negative_distinct(QPoly((1, 2, 1)))
+    repeated = verify_negative_distinct(poly(1, 2, 1))
     assert not repeated.passed and "repeated root" in repeated.detail
-    double_zero = verify_negative_distinct(QPoly((0, 0, 1, 1)))  # x^2 (x + 1)
+    double_zero = verify_negative_distinct(poly(0, 0, 1, 1))  # x^2 (x + 1)
     assert not double_zero.passed and "multiplicity 2" in double_zero.detail
-    nothing = verify_negative_distinct(QPoly(()))
+    nothing = verify_negative_distinct(poly())
     assert not nothing.passed and nothing.degree == -1
 
 
 def test_negativity_json_shape():
-    out = verify_negative_distinct(QPoly((3, 4, 1))).to_json()
+    out = verify_negative_distinct(poly(3, 4, 1)).to_json()
     assert out["passed"] is True
     assert out["degree"] == 2
     assert out["zero_root_multiplicity"] == 0
@@ -200,32 +323,32 @@ def test_negativity_certifies_constructed_products(magnitudes, with_zero):
 
 
 def test_interlacing_pass():
-    report = verify_interlacing(QPoly((2, 1)), QPoly((3, 4, 1)))
+    report = verify_interlacing(poly(2, 1), poly(3, 4, 1))
     assert report.passed
     assert report.pattern == "LsL"
     assert report.to_json()["verdict"] == "pass"
 
 
 def test_interlacing_with_matching_zero_roots():
-    smaller = QPoly((0, 2, 1))  # x (x + 2)
-    larger = QPoly((0, 3, 4, 1))  # x (x + 1)(x + 3)
+    smaller = poly(0, 2, 1)  # x (x + 2)
+    larger = poly(0, 3, 4, 1)  # x (x + 1)(x + 3)
     report = verify_interlacing(smaller, larger)
     assert report.passed and report.pattern == "LsL"
 
 
 def test_interlacing_degree_zero_base_case():
-    report = verify_interlacing(QPoly((1,)), QPoly((1, 1)))
+    report = verify_interlacing(poly(1), poly(1, 1))
     assert report.passed and report.pattern == "L"
 
 
 def test_interlacing_failure_modes():
-    shared = verify_interlacing(QPoly((1, 1)), QPoly((2, 3, 1)))
+    shared = verify_interlacing(poly(1, 1), poly(2, 3, 1))
     assert not shared.passed and "share" in shared.detail
-    step = verify_interlacing(QPoly((1, 1)), QPoly((-10, 3, 6, 1)))
+    step = verify_interlacing(poly(1, 1), poly(-10, 3, 6, 1))
     assert not step.passed and "degree step" in step.detail
-    zeros = verify_interlacing(QPoly((0, 1)), QPoly((2, 3, 1)))
+    zeros = verify_interlacing(poly(0, 1), poly(2, 3, 1))
     assert not zeros.passed and "zero-root" in zeros.detail
-    outside = verify_interlacing(QPoly((5, 1)), QPoly((2, 3, 1)))
+    outside = verify_interlacing(poly(5, 1), poly(2, 3, 1))
     assert not outside.passed and outside.pattern == "sLL"
 
 
@@ -267,7 +390,7 @@ def test_unimodality():
 
 
 def test_roots_report_shape():
-    body = roots_report(QPoly((2, 3, 1)))
+    body = roots_report(poly(2, 3, 1))
     assert body["degree"] == 2
     assert body["zero_root_multiplicity"] == 0
     assert body["real_roots"] == 2
