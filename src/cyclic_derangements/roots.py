@@ -16,8 +16,10 @@ entry points certify
 * ``verify_interlacing`` -- the roots of one polynomial strictly
   separate the roots of the next one in the family.
 
-Verdicts are three-valued: a refusal to decide (raised precision limit)
-is reported as ``inconclusive`` rather than silently passing.
+Sturm counts split intervals holding several roots; one holding a
+single root keeps the half where the polynomial changes sign.  Both
+verdicts are exact ("pass" or "fail"): interlacing is read from the
+larger polynomial's Sturm counts between the smaller one's root boxes.
 """
 
 from dataclasses import dataclass
@@ -28,9 +30,6 @@ from .polynomials import BivariatePolynomial, InexactDivisionError
 
 #: isolation intervals are narrowed below this width
 DEFAULT_TOLERANCE = Fraction(1, 2**40)
-
-#: halvings allowed while separating two root boxes before giving up
-MAX_SEPARATION_DEPTH = 512
 
 
 class NotSquarefreeError(ArithmeticError):
@@ -181,8 +180,8 @@ class RootIsolation:
     """Roots of a squarefree polynomial: exact rationals + tight boxes.
 
     Every interval (lo, hi] holds exactly one real root, has width at
-    most the requested tolerance, and overlaps no other interval and no
-    exact root.
+    most the requested tolerance, and overlaps no other interval; an
+    exact root deflated out before the last bisection may lie in one.
     """
 
     degree: int
@@ -271,6 +270,8 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     split point lands on is deflated the same way, so returned intervals
     never have roots at their endpoints.
     """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     original = _coefficients(poly)
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -282,10 +283,6 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
         chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
         bound = _cauchy_bound(work)
         low, high = -bound, bound
-        while _sign_at(work, low) == 0:
-            low -= 1
-        while _sign_at(work, high) == 0:
-            high += 1
         found_rational = None
         total = chain.count_roots(low, high)
         pending = [(low, high, total)] if total else []
@@ -296,10 +293,14 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
                 boxes.append((a, b))
                 continue
             mid = (a + b) / 2
-            if _sign_at(work, mid) == 0:
+            sign = _sign_at(work, mid)
+            if sign == 0:
                 found_rational = mid
                 break
-            left = chain.count_roots(a, mid)
+            if count == 1:
+                left = int(sign == _sign_at(work, b))
+            else:
+                left = chain.count_roots(a, mid)
             if left:
                 pending.append((a, mid, left))
             if count - left:
@@ -309,60 +310,6 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
         exact.append(found_rational)
         work = _deflate(work, found_rational)
     return RootIsolation(degree, tuple(sorted(exact)), ())
-
-
-class _RootBox:
-    """One real root, either pinned exactly or trapped in (lo, hi]."""
-
-    __slots__ = ("lo", "hi", "poly", "owner")
-
-    def __init__(self, lo, hi, poly, owner):
-        self.lo = lo
-        self.hi = hi
-        self.poly = poly
-        self.owner = owner
-
-    @property
-    def exact(self):
-        return self.lo == self.hi
-
-    def refine(self):
-        """Halve the box; a single sign change pins the root."""
-        if self.exact:
-            return
-        mid = (self.lo + self.hi) / 2
-        sign = _sign_at(self.poly, mid)
-        if sign == 0:
-            self.lo = self.hi = mid
-        elif sign == _sign_at(self.poly, self.hi):
-            self.hi = mid
-        else:
-            self.lo = mid
-
-
-def _boxes(poly, isolation, owner):
-    out = [_RootBox(x, x, poly, owner) for x in isolation.exact_roots]
-    out.extend(_RootBox(a, b, poly, owner) for a, b in isolation.intervals)
-    return out
-
-
-def _separate(boxes, max_depth=MAX_SEPARATION_DEPTH):
-    """Refine boxes until strictly ordered; None on depth exhaustion."""
-    boxes = sorted(boxes, key=lambda box: (box.lo, box.hi))
-    for _ in range(max_depth):
-        boxes.sort(key=lambda box: (box.lo, box.hi))
-        clash = None
-        for left, right in zip(boxes, boxes[1:]):
-            if left.hi >= right.lo:
-                clash = (left, right)
-                break
-        if clash is None:
-            return boxes
-        if clash[0].exact and clash[1].exact:
-            return None  # two equal exact roots: genuinely shared
-        clash[0].refine()
-        clash[1].refine()
-    return None
 
 
 # -- verification reports -------------------------------------------------------
@@ -444,7 +391,7 @@ def verify_negative_distinct(poly, allow_zero_root=True):
 class InterlacingReport:
     """Outcome of the strict-separation check for consecutive members."""
 
-    verdict: str  # "pass" | "fail" | "inconclusive"
+    verdict: str  # "pass" | "fail"; exact, never left undecided
     detail: str
     pattern: str = ""
 
@@ -467,13 +414,18 @@ def _share_a_root(a, b):
     return len(a) > 1
 
 
-def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
+def verify_interlacing(smaller, larger):
     """Certify that the roots of ``smaller`` interlace those of ``larger``.
 
     ``larger`` must have degree exactly one above ``smaller``.  Shared
     zero roots of equal (single) multiplicity are split off first and do
     not spoil strictness; the remaining negative roots must alternate
     L s L s ... L when read in increasing order (L from ``larger``).
+
+    Only ``smaller`` is isolated; a box that holds or starts at a root
+    of ``larger`` is halved by the sign rule until it does not (it ends:
+    the two share no root).  Sturm counts of ``larger`` before, between
+    and after the boxes give the pattern "L" * c0 + "s" + "L" * c1 ...
     """
     ps, pl = _coefficients(smaller), _coefficients(larger)
     if not ps or not pl:
@@ -501,16 +453,28 @@ def verify_interlacing(smaller, larger, tolerance=DEFAULT_TOLERANCE):
         return InterlacingReport("fail", "polynomials share a root")
     if len(ps) == 1:
         return InterlacingReport("pass", "nothing to separate", pattern="L")
-    boxes = _boxes(ps, isolate_roots(smaller, tolerance), "s") + _boxes(
-        pl, isolate_roots(larger, tolerance), "L"
-    )
-    ordered = _separate(boxes)
-    if ordered is None:
-        return InterlacingReport(
-            "inconclusive",
-            "could not separate root boxes within the precision limit",
-        )
-    pattern = "".join(box.owner for box in ordered)
+    isolation = isolate_roots(smaller)
+    work = ps  # without its exact roots, so each interval holds one root
+    for x in isolation.exact_roots:
+        work = _deflate(work, x)
+    chain = SturmChain(larger)
+    counts, prev = [], None
+    boxes = [(x, x) for x in isolation.exact_roots] + list(isolation.intervals)
+    for lo, hi in sorted(boxes):
+        while lo < hi and (_sign_at(pl, lo) == 0 or chain.count_roots(lo, hi)):
+            mid = (lo + hi) / 2
+            sign = _sign_at(work, mid)
+            if sign == 0:
+                lo = hi = mid
+            elif sign == _sign_at(work, hi):
+                hi = mid
+            else:
+                lo = mid
+        empty = prev is not None and prev >= lo  # boxes that touch or overlap
+        counts.append(0 if empty else chain.count_roots(prev, lo))
+        prev = hi
+    counts.append(chain.count_roots(prev, None))
+    pattern = "s".join("L" * c for c in counts)
     expected = "L" + "sL" * (len(ps) - 1)
     if pattern == expected:
         return InterlacingReport("pass", "roots alternate strictly", pattern=pattern)

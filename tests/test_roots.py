@@ -1,8 +1,9 @@
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclic_derangements import roots
 from cyclic_derangements.counting import exc_derangement_poly
@@ -224,6 +225,18 @@ def test_isolation_honors_custom_tolerance():
         isolate_roots(poly(1, 2, 1))
 
 
+def test_isolation_refuses_a_tolerance_that_is_not_positive():
+    # with tolerance 0 the bisection of x^2 - 2 would never stop
+    for tolerance in (0, Fraction(-1, 8)):
+        with pytest.raises(ValueError, match="tolerance"):
+            isolate_roots(poly(-2, 0, 1), tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance"):
+            roots_report(poly(-2, 0, 1), tolerance=tolerance)
+    # refused before anything else is looked at, even the input type
+    with pytest.raises(ValueError, match="tolerance"):
+        isolate_roots([-2, 0, 1], tolerance=0)
+
+
 def test_deflating_a_non_root_raises(monkeypatch):
     cubic = CUBIC.q_coefficient_list()
     with pytest.raises(InexactDivisionError):
@@ -366,6 +379,131 @@ def test_exc_family_interlaces():
         exc_derangement_poly(2, 4), exc_derangement_poly(2, 5)
     )
     assert report.passed, report.detail
+
+
+def test_interlacing_isolates_only_the_smaller_polynomial(monkeypatch):
+    calls = []
+    real_isolate = roots.isolate_roots
+    monkeypatch.setattr(
+        roots, "isolate_roots", lambda p, *rest: calls.append(p) or real_isolate(p, *rest)
+    )
+    smaller, larger = exc_derangement_poly(3, 6), exc_derangement_poly(3, 7)
+    assert verify_interlacing(smaller, larger).passed
+    assert calls == [smaller]
+
+
+def test_interlacing_across_boxes_that_share_an_endpoint():
+    # K^2 (x + 3)^2 - 2 has roots -3 -+ sqrt(2)/K, closer than two box widths
+    K = 2**42
+    smaller = poly(9 * K * K - 2, 6 * K * K, K * K)
+    (_, left_hi), (right_lo, _) = isolate_roots(smaller).intervals
+    assert left_hi == right_lo
+    report = verify_interlacing(smaller, linear_product([-10, -1, -2]))
+    assert report.verdict == "fail" and report.pattern == "LssLL"
+    # a root of larger at -3, between the two roots of smaller
+    report = verify_interlacing(smaller, poly(10, 1) * poly(3 * K, K) * poly(1, 1))
+    assert report.verdict == "pass" and report.pattern == "LsLsL"
+
+
+def test_interlacing_halves_a_box_holding_a_root_of_larger():
+    # x^2 + 4x + 2 has roots -2 -+ sqrt(2); P/Q is a convergent of sqrt(2)
+    # from above, so -2 + P/Q lies within 10^-19 right of the upper root
+    P, Q = 1, 1
+    while Q < 3 * 10**9 or P * P - 2 * Q * Q != 1:
+        P, Q = P + 2 * Q, P + Q
+    assert 0 < Fraction(P, Q) ** 2 - 2 < Fraction(1, 10**19)
+    smaller = poly(2, 4, 1)
+    near = Fraction(P - 2 * Q, Q)
+    assert any(lo < near <= hi for lo, hi in isolate_roots(smaller).intervals)
+    factor = poly(2 * Q - P, Q)
+    report = verify_interlacing(smaller, factor * poly(1, 1) * poly(5, 1))
+    assert report.verdict == "pass" and report.pattern == "LsLsL"
+    report = verify_interlacing(smaller, factor * poly(4, 1) * poly(5, 1))
+    assert report.verdict == "fail" and report.pattern == "LLssL"
+
+
+def test_interlacing_with_an_exact_root_inside_a_box():
+    # (x + 1)(K^2 (x + 1)^2 - 2): bisection lands on -1 and deflates it, and
+    # the box of -1 - sqrt(2)/K found afterwards still contains -1
+    K = 2**42
+    smaller = poly(1, 1) * poly(K * K - 2, 2 * K * K, K * K)
+    isolation = isolate_roots(smaller)
+    assert isolation.exact_roots == (-1,)
+    assert any(lo < -1 < hi for lo, hi in isolation.intervals)
+    # larger has roots -1 -+ 1/K, one on each side of -1
+    near = poly(K + 1, K) * poly(1, 2) * poly(10, 1)
+    report = verify_interlacing(smaller, near * poly(K - 1, K))
+    assert report.verdict == "pass" and report.pattern == "LsLsLsL"
+    report = verify_interlacing(smaller, near * poly(3, 1))
+    assert report.verdict == "fail" and report.pattern == "LLsLssL"
+
+
+# Roots a + b sqrt(2) as integer pairs (a, b): an integer root m is (m, 0)
+# and the factor x^2 - 2 p x + p^2 - 2 q^2 gives the pair (p, q), (p, -q).
+
+
+def _sign_of_surd(a, b):
+    """Sign of a + b sqrt(2), exactly."""
+    if a * b >= 0:
+        return (a > 0) - (a < 0) or (b > 0) - (b < 0)
+    bigger = a if a * a > 2 * b * b else b
+    return (bigger > 0) - (bigger < 0)
+
+
+def _factor(p, q):
+    return poly(-p, 1) if q == 0 else poly(p * p - 2 * q * q, -2 * p, 1)
+
+
+def _product(factors):
+    out = poly(1)
+    for p, q in factors:
+        out = out * _factor(p, q)
+    return out
+
+
+@st.composite
+def interlacing_cases(draw):
+    """Factors (p, q) of smaller and larger: distinct negative roots, degree step 1."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(-12, -2), st.integers(1, 8)).filter(
+                lambda pq: pq[0] ** 2 > 2 * pq[1] ** 2
+            ),
+            unique=True,
+            max_size=3,
+        )
+    )
+    to_larger = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # the integer roots make up the rest of the degree step
+    need = 1 - 2 * (2 * sum(to_larger) - len(pairs))
+    k = abs(need) + 2 * draw(st.integers(0, 2))
+    integers = draw(st.lists(st.integers(-25, -1), unique=True, min_size=k, max_size=k))
+    n_larger = (k + need) // 2
+    larger = [(m, 0) for m in integers[:n_larger]]
+    larger += [pq for pq, big in zip(pairs, to_larger) if big]
+    smaller = [(m, 0) for m in integers[n_larger:]]
+    smaller += [pq for pq, big in zip(pairs, to_larger) if not big]
+    return smaller, larger
+
+
+@settings(max_examples=60)
+@given(interlacing_cases())
+@example(([(-3, 0)], [(-4, 0), (-1, 0)]))  # L s L
+@example(([(-4, 1)], [(-6, 0), (-5, 0), (-1, 0)]))  # L s L s L
+@example(([(-4, 1)], [(-7, 0), (-6, 0), (-1, 0)]))  # L L s s L
+@example(([(-20, 0), (-1, 0)], [(-5, 3), (-10, 0)]))  # s L L s L
+def test_interlacing_pattern_matches_exact_root_order(case):
+    smaller, larger = case
+    tagged = []
+    for owner, factors in (("s", smaller), ("L", larger)):
+        for p, q in factors:
+            tagged += [(p, q, owner), (p, -q, owner)] if q else [(p, 0, owner)]
+    tagged.sort(key=cmp_to_key(lambda u, v: _sign_of_surd(u[0] - v[0], u[1] - v[1])))
+    expected = "".join(owner for _, _, owner in tagged)
+    report = verify_interlacing(_product(smaller), _product(larger))
+    assert report.pattern == expected
+    alternating = "L" + "sL" * (len(expected) // 2)
+    assert report.verdict == ("pass" if expected == alternating else "fail")
 
 
 # -- coefficient shape ------------------------------------------------------------
