@@ -252,14 +252,57 @@ def _deflate(work, root):
     return out[-2::-1]
 
 
-def _deflate_rational_roots(work, exact):
+def _halve(work, lo, hi):
+    """The half of (lo, hi] holding its root of ``work``; (mid, mid) if mid is it."""
+    mid = (lo + hi) / 2
+    sign = _sign_at(work, mid)
+    if sign == 0:
+        return mid, mid
+    if sign == _sign_at(work, hi):
+        return lo, mid
+    return mid, hi
+
+
+def _isolate(work, tolerance):
+    """Exact roots, boxes, and ``work`` with the exact roots deflated out."""
+    exact = []
     while len(work) > 1:
         root = _first_rational_root(work)
         if root is None:
-            return work
+            break
         exact.append(root)
         work = _deflate(work, root)
-    return work
+    while len(work) > 1:
+        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
+        bound = _cauchy_bound(work)
+        found_rational = None
+        total = chain.count_roots(-bound, bound)
+        pending = [(-bound, bound, total)] if total else []
+        boxes = []
+        while pending:
+            a, b, count = pending.pop()
+            if count == 1:
+                while b - a > tolerance:
+                    a, b = _halve(work, a, b)
+                if a == b:
+                    found_rational = a
+                    break
+                boxes.append((a, b))
+                continue
+            mid = (a + b) / 2
+            if _sign_at(work, mid) == 0:
+                found_rational = mid
+                break
+            left = chain.count_roots(a, mid)
+            if left:
+                pending.append((a, mid, left))
+            if count - left:
+                pending.append((mid, b, count - left))
+        if found_rational is None:
+            return sorted(exact), sorted(boxes), work
+        exact.append(found_rational)
+        work = _deflate(work, found_rational)
+    return sorted(exact), [], work
 
 
 def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
@@ -268,7 +311,8 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     Rational roots are found by divisor trial and deflated out first
     (unless the coefficients are enormous); any further rational root a
     split point lands on is deflated the same way, so returned intervals
-    never have roots at their endpoints.
+    never have roots at their endpoints.  Sturm counts split intervals
+    holding several roots; ``_halve`` narrows one holding a single root.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -276,40 +320,8 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
     SturmChain(poly)  # squarefreeness gate, even for the fast exits
-    degree = len(original) - 1
-    exact = []
-    work = _deflate_rational_roots(original, exact)
-    while len(work) > 1:
-        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
-        bound = _cauchy_bound(work)
-        low, high = -bound, bound
-        found_rational = None
-        total = chain.count_roots(low, high)
-        pending = [(low, high, total)] if total else []
-        boxes = []
-        while pending:
-            a, b, count = pending.pop()
-            if count == 1 and b - a <= tolerance:
-                boxes.append((a, b))
-                continue
-            mid = (a + b) / 2
-            sign = _sign_at(work, mid)
-            if sign == 0:
-                found_rational = mid
-                break
-            if count == 1:
-                left = int(sign == _sign_at(work, b))
-            else:
-                left = chain.count_roots(a, mid)
-            if left:
-                pending.append((a, mid, left))
-            if count - left:
-                pending.append((mid, b, count - left))
-        if found_rational is None:
-            return RootIsolation(degree, tuple(sorted(exact)), tuple(sorted(boxes)))
-        exact.append(found_rational)
-        work = _deflate(work, found_rational)
-    return RootIsolation(degree, tuple(sorted(exact)), ())
+    exact, boxes, _ = _isolate(original, tolerance)
+    return RootIsolation(len(original) - 1, tuple(exact), tuple(boxes))
 
 
 # -- verification reports -------------------------------------------------------
@@ -425,7 +437,8 @@ def verify_interlacing(smaller, larger):
     Only ``smaller`` is isolated; a box that holds or starts at a root
     of ``larger`` is halved by the sign rule until it does not (it ends:
     the two share no root).  Sturm counts of ``larger`` before, between
-    and after the boxes give the pattern "L" * c0 + "s" + "L" * c1 ...
+    and after the halved boxes, taken in order with the exact roots as
+    point boxes, give the pattern "L" * c0 + "s" + "L" * c1 ...
     """
     ps, pl = _coefficients(smaller), _coefficients(larger)
     if not ps or not pl:
@@ -446,33 +459,24 @@ def verify_interlacing(smaller, larger):
     for name, p in (("smaller", smaller), ("larger", larger)):
         report = verify_negative_distinct(p, allow_zero_root=False)
         if not report.passed:
-            return InterlacingReport(
-                "fail", f"{name} polynomial: {report.detail}"
-            )
+            return InterlacingReport("fail", f"{name} polynomial: {report.detail}")
     if _share_a_root(ps, pl):
         return InterlacingReport("fail", "polynomials share a root")
     if len(ps) == 1:
         return InterlacingReport("pass", "nothing to separate", pattern="L")
-    isolation = isolate_roots(smaller)
-    work = ps  # without its exact roots, so each interval holds one root
-    for x in isolation.exact_roots:
-        work = _deflate(work, x)
+    exact, boxes, work = _isolate(ps, DEFAULT_TOLERANCE)
     chain = SturmChain(larger)
-    counts, prev = [], None
-    boxes = [(x, x) for x in isolation.exact_roots] + list(isolation.intervals)
-    for lo, hi in sorted(boxes):
+    separated = [(x, x) for x in exact]  # an exact root may lie in a box
+    for lo, hi in boxes:
         while lo < hi and (_sign_at(pl, lo) == 0 or chain.count_roots(lo, hi)):
-            mid = (lo + hi) / 2
-            sign = _sign_at(work, mid)
-            if sign == 0:
-                lo = hi = mid
-            elif sign == _sign_at(work, hi):
-                hi = mid
-            else:
-                lo = mid
-        empty = prev is not None and prev >= lo  # boxes that touch or overlap
+            lo, hi = _halve(work, lo, hi)
+        separated.append((lo, hi))
+    # no root of larger lies in a box, nor between boxes that touch or overlap
+    counts, prev = [], None
+    for lo, hi in sorted(separated):
+        empty = prev is not None and prev >= lo
         counts.append(0 if empty else chain.count_roots(prev, lo))
-        prev = hi
+        prev = hi if prev is None else max(prev, hi)
     counts.append(chain.count_roots(prev, None))
     pattern = "s".join("L" * c for c in counts)
     expected = "L" + "sL" * (len(ps) - 1)

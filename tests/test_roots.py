@@ -383,13 +383,13 @@ def test_exc_family_interlaces():
 
 def test_interlacing_isolates_only_the_smaller_polynomial(monkeypatch):
     calls = []
-    real_isolate = roots.isolate_roots
+    real_isolate = roots._isolate
     monkeypatch.setattr(
-        roots, "isolate_roots", lambda p, *rest: calls.append(p) or real_isolate(p, *rest)
+        roots, "_isolate", lambda p, *rest: calls.append(p) or real_isolate(p, *rest)
     )
     smaller, larger = exc_derangement_poly(3, 6), exc_derangement_poly(3, 7)
     assert verify_interlacing(smaller, larger).passed
-    assert calls == [smaller]
+    assert calls == [smaller.q_coefficient_list()]
 
 
 def test_interlacing_across_boxes_that_share_an_endpoint():
@@ -424,18 +424,21 @@ def test_interlacing_halves_a_box_holding_a_root_of_larger():
 
 def test_interlacing_with_an_exact_root_inside_a_box():
     # (x + 1)(K^2 (x + 1)^2 - 2): bisection lands on -1 and deflates it, and
-    # the box of -1 - sqrt(2)/K found afterwards still contains -1
-    K = 2**42
-    smaller = poly(1, 1) * poly(K * K - 2, 2 * K * K, K * K)
-    isolation = isolate_roots(smaller)
-    assert isolation.exact_roots == (-1,)
-    assert any(lo < -1 < hi for lo, hi in isolation.intervals)
-    # larger has roots -1 -+ 1/K, one on each side of -1
-    near = poly(K + 1, K) * poly(1, 2) * poly(10, 1)
-    report = verify_interlacing(smaller, near * poly(K - 1, K))
-    assert report.verdict == "pass" and report.pattern == "LsLsLsL"
-    report = verify_interlacing(smaller, near * poly(3, 1))
-    assert report.verdict == "fail" and report.pattern == "LLsLssL"
+    # a box found afterwards still contains -1.  With K = 2^42 it is the box
+    # of -1 - sqrt(2)/K, with K = 2^43 the box of -1 + sqrt(2)/K.
+    for K, side in ((2**42, -1), (2**43, 1)):
+        smaller = poly(1, 1) * poly(K * K - 2, 2 * K * K, K * K)
+        isolation = isolate_roots(smaller)
+        assert isolation.exact_roots == (-1,)
+        (lo, hi), = [(lo, hi) for lo, hi in isolation.intervals if lo < -1 < hi]
+        assert side * (lo + hi + 2) > 0  # the box leans to the side of its root
+        # larger has roots -1 -+ 1/K, one on each side of -1; halving the box
+        # pushes its end past the one between -1 and the box's root
+        near = poly(K + 1, K) * poly(1, 2) * poly(10, 1)
+        report = verify_interlacing(smaller, near * poly(K - 1, K))
+        assert report.verdict == "pass" and report.pattern == "LsLsLsL"
+        report = verify_interlacing(smaller, near * poly(3, 1))
+        assert report.verdict == "fail" and report.pattern == "LLsLssL"
 
 
 # Roots a + b sqrt(2) as integer pairs (a, b): an integer root m is (m, 0)
