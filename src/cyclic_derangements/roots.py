@@ -7,9 +7,8 @@ integer polynomial and a positive multiple of the classical member, so
 it has the classical signs.  The sign at a rational x = u/w (w > 0) is
 the sign of the homogenized value sum c_j u^j w^(d-j), found by integer
 Horner.  Sturm chains count real roots in half-open intervals, roots are
-isolated by bisection into disjoint rational intervals (rational roots
-are recognized exactly and deflated out), and the two verification
-entry points certify
+isolated by bisection into disjoint rational intervals, and the two
+verification entry points certify
 
 * ``verify_negative_distinct`` -- all roots real, distinct, negative,
   apart from an explicitly reported zero root of multiplicity <= 1, and
@@ -17,14 +16,18 @@ entry points certify
   separate the roots of the next one in the family.
 
 Sturm counts split intervals holding several roots; one holding a
-single root keeps the half where the polynomial changes sign.  Both
+single root keeps the half where the polynomial changes sign.  Rational
+roots are recognized exactly by one rule at every coefficient size: a
+rational root of a primitive polynomial is a multiple of 1/L, L its
+leading coefficient, so a one-root interval narrower than 1/L has one
+candidate, which is tested by its exact sign and deflated out.  Both
 verdicts are exact ("pass" or "fail"): interlacing is read from the
 larger polynomial's Sturm counts between the smaller one's root boxes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .polynomials import BivariatePolynomial, InexactDivisionError
 
@@ -179,9 +182,10 @@ def cauchy_bound(poly):
 class RootIsolation:
     """Roots of a squarefree polynomial: exact rationals + tight boxes.
 
-    Every interval (lo, hi] holds exactly one real root, has width at
-    most the requested tolerance, and overlaps no other interval; an
-    exact root deflated out before the last bisection may lie in one.
+    ``exact_roots`` holds every rational root.  Every interval (lo, hi]
+    holds exactly one real root, an irrational one, has width at most
+    the requested tolerance, and overlaps no other interval; an exact
+    root deflated out before the last bisection may lie in one.
     """
 
     degree: int
@@ -199,36 +203,6 @@ class RootIsolation:
             "exact_roots": [str(x) for x in self.exact_roots],
             "intervals": [[str(a), str(b)] for a, b in self.intervals],
         }
-
-
-#: skip the divisor search above this coefficient size; bisection still works
-_RATIONAL_SEARCH_LIMIT = 10**15
-
-
-def _divisors(value):
-    value = abs(value)
-    out = set()
-    i = 1
-    while i * i <= value:
-        if value % i == 0:
-            out.add(i)
-            out.add(value // i)
-        i += 1
-    return sorted(out)
-
-
-def _first_rational_root(work):
-    if work[0] == 0:
-        return Fraction(0)
-    if abs(work[0]) > _RATIONAL_SEARCH_LIMIT or abs(work[-1]) > _RATIONAL_SEARCH_LIMIT:
-        return None
-    denominators = _divisors(work[-1])
-    for num in _divisors(work[0]):
-        for den in denominators:
-            for candidate in (Fraction(num, den), Fraction(-num, den)):
-                if _sign_at(work, candidate) == 0:
-                    return candidate
-    return None
 
 
 def _deflate(work, root):
@@ -252,76 +226,90 @@ def _deflate(work, root):
     return out[-2::-1]
 
 
-def _halve(work, lo, hi):
-    """The half of (lo, hi] holding its root of ``work``; (mid, mid) if mid is it."""
+def _halve(work, lo, hi, sign_hi):
+    """The half of (lo, hi] holding its root, with the sign of ``work`` at its end.
+
+    ``sign_hi`` is that sign at ``hi``; (mid, mid, 0) if mid is the root.
+    """
     mid = (lo + hi) / 2
     sign = _sign_at(work, mid)
     if sign == 0:
-        return mid, mid
-    if sign == _sign_at(work, hi):
-        return lo, mid
-    return mid, hi
+        return mid, mid, 0
+    if sign == sign_hi:
+        return lo, mid, sign
+    return mid, hi, sign_hi
 
 
 def _isolate(work, tolerance):
-    """Exact roots, boxes, and ``work`` with the exact roots deflated out."""
+    """Exact roots, boxes (lo, hi, sign at hi), and ``work`` deflated.
+
+    Each pass bisects ``work`` and deflates the rational roots it finds
+    before the next; the pass that finds none gives the boxes.  A root
+    p/q of the primitive ``work`` has q | L, its leading coefficient, so
+    it is a multiple of 1/L, and a one-root box (lo, hi] narrower than
+    1/L holds no rational root but floor(L hi) / L.
+    """
     exact = []
     while len(work) > 1:
-        root = _first_rational_root(work)
-        if root is None:
-            break
-        exact.append(root)
-        work = _deflate(work, root)
-    while len(work) > 1:
         chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
+        lead = abs(chain.chain[0][-1])
         bound = _cauchy_bound(work)
-        found_rational = None
         total = chain.count_roots(-bound, bound)
-        pending = [(-bound, bound, total)] if total else []
-        boxes = []
+        pending = [(-bound, bound, _sign_at(work, bound), total)] if total else []
+        boxes, found = [], []
         while pending:
-            a, b, count = pending.pop()
+            a, b, sign_b, count = pending.pop()
             if count == 1:
                 while b - a > tolerance:
-                    a, b = _halve(work, a, b)
-                if a == b:
-                    found_rational = a
-                    break
-                boxes.append((a, b))
+                    a, b, sign_b = _halve(work, a, b, sign_b)
+                box = a, b, sign_b
+                while (b - a) * lead >= 1:  # only the rational test needs these
+                    a, b, sign_b = _halve(work, a, b, sign_b)
+                # a candidate left of the box may be another box's root
+                root = Fraction(floor(b * lead), lead)
+                if a <= root and _sign_at(work, root) == 0:
+                    found.append(root)
+                else:
+                    boxes.append(box)
                 continue
             mid = (a + b) / 2
-            if _sign_at(work, mid) == 0:
-                found_rational = mid
+            sign = _sign_at(work, mid)
+            if sign == 0:
+                found.append(mid)
                 break
             left = chain.count_roots(a, mid)
             if left:
-                pending.append((a, mid, left))
+                pending.append((a, mid, sign, left))
             if count - left:
-                pending.append((mid, b, count - left))
-        if found_rational is None:
+                pending.append((mid, b, sign_b, count - left))
+        if not found:
             return sorted(exact), sorted(boxes), work
-        exact.append(found_rational)
-        work = _deflate(work, found_rational)
+        for root in found:
+            exact.append(root)
+            work = _deflate(work, root)
     return sorted(exact), [], work
 
 
 def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     """Isolate every real root of a squarefree polynomial exactly.
 
-    Rational roots are found by divisor trial and deflated out first
-    (unless the coefficients are enormous); any further rational root a
-    split point lands on is deflated the same way, so returned intervals
-    never have roots at their endpoints.  Sturm counts split intervals
-    holding several roots; ``_halve`` narrows one holding a single root.
+    Bisection splits intervals holding several roots by Sturm counts and
+    ``_halve`` narrows one holding a single root.  Every rational root is
+    recognized, at whatever coefficient size, from a split point it lands
+    on or from its box once that is narrower than 1/L (L the leading
+    coefficient of the primitive polynomial), and deflated out.  The
+    boxes come from a last pass over the deflated polynomial, so they
+    hold the irrational roots and never have roots at their endpoints.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     original = _coefficients(poly)
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    SturmChain(poly)  # squarefreeness gate, even for the fast exits
     exact, boxes, _ = _isolate(original, tolerance)
-    return RootIsolation(len(original) - 1, tuple(exact), tuple(boxes))
+    return RootIsolation(
+        len(original) - 1, tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
+    )
 
 
 # -- verification reports -------------------------------------------------------
@@ -467,9 +455,9 @@ def verify_interlacing(smaller, larger):
     exact, boxes, work = _isolate(ps, DEFAULT_TOLERANCE)
     chain = SturmChain(larger)
     separated = [(x, x) for x in exact]  # an exact root may lie in a box
-    for lo, hi in boxes:
+    for lo, hi, sign_hi in boxes:
         while lo < hi and (_sign_at(pl, lo) == 0 or chain.count_roots(lo, hi)):
-            lo, hi = _halve(work, lo, hi)
+            lo, hi, sign_hi = _halve(work, lo, hi, sign_hi)
         separated.append((lo, hi))
     # no root of larger lies in a box, nor between boxes that touch or overlap
     counts, prev = [], None

@@ -1,9 +1,9 @@
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclic_derangements import roots
 from cyclic_derangements.counting import exc_derangement_poly
@@ -246,22 +246,66 @@ def test_deflating_a_non_root_raises(monkeypatch):
     assert roots._deflate(cubic, Fraction(1)) == [10, 7, 1]  # (x + 2)(x + 5)
     # Gauss's lemma: x - 1/2 leaves an integer quotient of 2x^2 + 3x - 2
     assert roots._deflate([2, -5, 2], Fraction(1, 2)) == [-4, 2]
-    # the divisor search hands over a non-root: deflation must refuse it
-    monkeypatch.setattr(roots, "_first_rational_root", lambda work: Fraction(3))
+    # with tolerance 1 the box of sqrt(2), a root of x^2 - 2, is (3/4, 3/2]
+    # and its candidate is 1, which no bisection point 3 j / 2^k equals;
+    # the box test misreads 1 as a root: deflation must refuse it
+    real_sign_at = roots._sign_at
+    assert isolate_roots(poly(-2, 0, 1), tolerance=1).intervals[1] == (
+        Fraction(3, 4), Fraction(3, 2)
+    )
+    monkeypatch.setattr(
+        roots, "_sign_at", lambda coeffs, x: 0 if x == 1 else real_sign_at(coeffs, x)
+    )
     with pytest.raises(InexactDivisionError):
-        isolate_roots(CUBIC)
+        isolate_roots(poly(-2, 0, 1), tolerance=1)
 
 
 def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
     # bisection of (x - 1)(x + 3) starts at the midpoint 0 of the symmetric
     # Cauchy interval; a value that misreports 0 as a root must be caught
-    monkeypatch.setattr(roots, "_first_rational_root", lambda work: None)
     real_sign_at = roots._sign_at
     monkeypatch.setattr(
         roots, "_sign_at", lambda coeffs, x: 0 if x == 0 else real_sign_at(coeffs, x)
     )
     with pytest.raises(InexactDivisionError):
         isolate_roots(linear_product([1, -3]))
+
+
+def test_isolation_recovers_rational_roots_from_boxes_at_any_coefficient_size():
+    # coefficients past 10^16, and bisection lands on neither rational root
+    isolation = isolate_roots(poly(5, 7) * poly(3, 1) * poly(-2, 0, 10**16))
+    assert isolation.exact_roots == (-3, Fraction(-5, 7))
+    assert len(isolation.intervals) == 2
+
+
+def test_isolation_ignores_a_box_candidate_that_is_another_root():
+    # (x - 1)(y^2 + 10 y - 1), y = x - 1: the box of the root 1.0990...
+    # has the candidate floor(hi) = 1 left of it, which is the root 1 and
+    # must not be deflated twice
+    y = poly(-1, 1)
+    isolation = isolate_roots(y * (y * y + 10 * y - 1))
+    assert isolation.exact_roots == (1,)
+    assert len(isolation.intervals) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 30), st.integers(-40, 40)), min_size=1, max_size=3
+    ),
+    st.integers(10**16, 10**20),
+)
+def test_isolation_recovers_every_rational_root_of_large_products(linears, big):
+    # prod (p x + q) times K x^2 - 2, whose roots are irrational unless
+    # 2K is a square
+    rational = sorted({Fraction(-q, p) for p, q in linears})
+    assume(len(rational) == len(linears) and isqrt(2 * big) ** 2 != 2 * big)
+    product = poly(-2, 0, big)
+    for p, q in linears:
+        product = product * poly(q, p)
+    isolation = isolate_roots(product)
+    assert list(isolation.exact_roots) == rational
+    assert len(isolation.intervals) == 2
 
 
 def test_isolation_json_shape():
