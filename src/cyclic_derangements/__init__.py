@@ -84,6 +84,7 @@ from .stats import (
     exponent_sum,
     major_index,
     shuffle_relabel,
+    ranked_record,
     shuffles,
     stat_record,
     subcedant_count,
@@ -101,6 +102,7 @@ from .wreath import (
     ValueSetError,
     WordLengthError,
     apply,
+    check_enumerable,
     compare,
     cycle_decomposition,
     enumerate_derangements,
@@ -113,6 +115,7 @@ from .wreath import (
     letter_sort_key,
     make,
     parse,
+    rank_table,
     to_text,
 )
 

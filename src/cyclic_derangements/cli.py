@@ -21,15 +21,17 @@ import os
 import sys
 
 from . import counting, roots, verify
-from .stats import stat_record
+from .stats import ranked_record, stat_record
 from .wreath import (
     ALTERNATE,
     STANDARD,
     EnumerationBoundError,
+    check_enumerable,
     enumerate_derangements,
     enumerate_group,
     is_derangement,
     parse,
+    rank_table,
     to_text,
 )
 
@@ -233,8 +235,8 @@ def cmd_roots(args):
 # -- dump ---------------------------------------------------------------------
 
 
-def _element_record(sigma, order, order_name):
-    record = stat_record(sigma, order).to_json()
+def _element_record(sigma, statistics, order_name):
+    record = statistics.to_json()
     record["element"] = to_text(sigma)
     record["derangement"] = is_derangement(sigma)
     record["order"] = order_name
@@ -245,15 +247,19 @@ def cmd_dump(args):
     order = _order_from_name(args.order)
     if args.element is not None:
         sigma = parse(args.element, args.r)
-        doc = _element_record(sigma, order, args.order)
+        doc = _element_record(sigma, stat_record(sigma, order), args.order)
         doc["schema"] = SCHEMA
         print(json.dumps(doc, sort_keys=True))
         return 0
     if args.n is None:
         raise ValueError("dump needs --n (or --element)")
+    # refuse before building the rank tables, whose size grows with r
+    check_enumerable(args.r, args.n, args.bound)
+    tables = rank_table(args.r, args.n, order), rank_table(args.r, args.n, STANDARD)
     source = enumerate_derangements if args.derangements_only else enumerate_group
     for sigma in source(args.r, args.n, args.bound):
-        print(json.dumps(_element_record(sigma, order, args.order), sort_keys=True))
+        record = _element_record(sigma, ranked_record(sigma, *tables), args.order)
+        print(json.dumps(record, sort_keys=True))
     return 0
 
 

@@ -36,13 +36,7 @@ from .series import (
     series_scale,
     series_sub,
 )
-from .stats import (
-    descent_count,
-    exponent_sum,
-    major_index,
-    weak_excedance_count,
-)
-from .wreath import STANDARD, enumerate_derangements, enumerate_group, group_order
+from .wreath import STANDARD, _statistics_tally, group_order
 
 
 def _require_r(r):
@@ -110,7 +104,7 @@ def derangement_count_mixed_transform(r, n):
 
 def derangement_count_enumerated(r, n, bound=None):
     """Count by exhaustive enumeration (subject to the cardinality bound)."""
-    return sum(1 for _ in enumerate_derangements(r, n, bound))
+    return sum(_statistics_tally(r, n, derangements_only=True, bound=bound).values())
 
 
 def fixed_point_count(r, n, k):
@@ -203,6 +197,19 @@ def distribution(elements, key):
     return BivariatePolynomial(Counter(map(key, elements)))
 
 
+def _enumerated(r, n, order, derangements_only, bound, key):
+    """Sum of q^i t^j over the enumerated elements, (i, j) = key(wreath.Statistics).
+
+    Every element is visited by the integer walk of ``wreath``, which
+    reads exc in the standard order whatever ``order`` is.
+    """
+    terms = Counter()
+    tally = _statistics_tally(r, n, order, derangements_only, bound)
+    for statistics, count in tally.items():
+        terms[key(statistics)] += count
+    return BivariatePolynomial(terms)
+
+
 def group_qt_closed(r, n):
     """sum over the whole group of q^maj t^sgn = [r]_t^n [n]_q!."""
     _require_r(r)
@@ -210,12 +217,8 @@ def group_qt_closed(r, n):
     return t_bracket(r) ** n * q_factorial(n)
 
 
-def _maj_sgn(order):
-    return lambda sigma: (major_index(sigma, order), exponent_sum(sigma))
-
-
 def group_qt_bruteforce(r, n, order=STANDARD, bound=None):
-    return distribution(enumerate_group(r, n, bound), _maj_sgn(order))
+    return _enumerated(r, n, order, False, bound, lambda s: (s.maj, s.sgn))
 
 
 def qt_derangement_formula(r, n):
@@ -269,7 +272,7 @@ def qt_derangement_one_term(r, n):
 
 
 def qt_derangement_bruteforce(r, n, order=STANDARD, bound=None):
-    return distribution(enumerate_derangements(r, n, bound), _maj_sgn(order))
+    return _enumerated(r, n, order, True, bound, lambda s: (s.maj, s.sgn))
 
 
 # -- Eulerian / excedance polynomials -------------------------------------------
@@ -301,25 +304,18 @@ def _exc_derangement_polys(r, n):
     return polys[: n + 1]
 
 
-def _exc(sigma):
-    return weak_excedance_count(sigma), 0
-
-
 def exc_derangement_bruteforce(r, n, bound=None):
-    return distribution(enumerate_derangements(r, n, bound), _exc)
+    return _enumerated(r, n, STANDARD, True, bound, lambda s: (s.exc, 0))
 
 
 def eulerian_by_excedances(r, n, bound=None):
     """A_n^{(r)}(q) = sum over the group of q^exc."""
-    return distribution(enumerate_group(r, n, bound), _exc)
+    return _enumerated(r, n, STANDARD, False, bound, lambda s: (s.exc, 0))
 
 
 def eulerian_by_descents(r, n, order=STANDARD, bound=None):
     """A_n^{(r)}(q) = sum over the group of q^(n - des)."""
-    return distribution(
-        enumerate_group(r, n, bound),
-        lambda sigma: (n - descent_count(sigma, order), 0),
-    )
+    return _enumerated(r, n, order, False, bound, lambda s: (n - s.des, 0))
 
 
 def eulerian_from_exc(r, n):

@@ -254,11 +254,16 @@ def _isolate(work, tolerance):
         chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
         lead = abs(chain.chain[0][-1])
         bound = _cauchy_bound(work)
-        total = chain.count_roots(-bound, bound)
-        pending = [(-bound, bound, _sign_at(work, bound), total)] if total else []
+        # (a, b, sign at b, roots in (a, b], Sturm variations at a); the
+        # bound is strict, so neither end is a root
+        variations = chain.variations_at(-bound)
+        total = variations - chain.variations_at(bound)
+        pending = []
+        if total:
+            pending.append((-bound, bound, _sign_at(work, bound), total, variations))
         boxes, found = [], []
         while pending:
-            a, b, sign_b, count = pending.pop()
+            a, b, sign_b, count, variations = pending.pop()
             if count == 1:
                 while b - a > tolerance:
                     a, b, sign_b = _halve(work, a, b, sign_b)
@@ -277,11 +282,12 @@ def _isolate(work, tolerance):
             if sign == 0:
                 found.append(mid)
                 break
-            left = chain.count_roots(a, mid)
+            at_mid = chain.variations_at(mid)
+            left = variations - at_mid
             if left:
-                pending.append((a, mid, sign, left))
+                pending.append((a, mid, sign, left, variations))
             if count - left:
-                pending.append((mid, b, sign_b, count - left))
+                pending.append((mid, b, sign_b, count - left, at_mid))
         if not found:
             return sorted(exact), sorted(boxes), work
         for root in found:

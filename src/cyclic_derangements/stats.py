@@ -188,3 +188,29 @@ def stat_record(sigma, order=STANDARD):
         exc=weak_excedance_count(sigma),
         sub=subcedant_count(sigma, order),
     )
+
+
+def ranked_record(sigma, ranks, standard_ranks):
+    """``stat_record(sigma, order)`` read from integer rank tables in one pass.
+
+    ``ranks`` is ``wreath.rank_table(r, n, order)`` and ``standard_ranks``
+    is the table of the standard order, in which exc is always read.
+    """
+    letters = sigma.letters
+    plain = ranks[0]
+    maj = des = sgn = exc = sub = 0
+    before = plain[0]
+    for i, (e, v) in enumerate(letters, 1):
+        place = ranks[e][v]
+        if before > place:
+            des += 1
+            maj += i - 1
+        before = place
+        sgn += e
+        sub += place < plain[i]
+        if v == i:
+            exc += not e
+        else:
+            f, w = letters[v - 1]
+            exc += standard_ranks[f][w] > standard_ranks[e][v]
+    return StatRecord(maj=maj, des=des, sgn=sgn, exc=exc, sub=sub)

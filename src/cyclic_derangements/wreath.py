@@ -16,15 +16,18 @@ Words are compared letterwise under one of two total orders on the set
 * Alternate: signed letters sort by exponent descending first, then by
   value descending; the zero and plain blocks are unchanged.
 
-Statistics built on these orders live in ``stats``.
+Statistics built on these orders live in ``stats``, read from objects;
+``_statistics_tally`` reads them from integer rank tables while it walks
+the group, without building objects.
 """
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
-from operator import eq
+from functools import partial
+from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple
 
 ENUMERATION_BOUND_ENV = "CYCLIC_DERANGEMENTS_BOUND"
@@ -118,6 +121,21 @@ def compare(a, b, order=STANDARD):
     ka = letter_sort_key(a, order)
     kb = letter_sort_key(b, order)
     return (ka > kb) - (ka < kb)
+
+
+def rank_table(r, n, order=STANDARD):
+    """rank[e][v]: the place of the letter zeta^e v among the letters of C_r wr S_n.
+
+    Places run from 0 upward in the chosen order, so letters compare as
+    their ranks do.  rank[0][0] is the boundary letter 0; rank[e][0] for
+    e > 0 names no letter and is None.
+    """
+    letters = [(0, 0)] + [(e, v) for e in range(r) for v in range(1, n + 1)]
+    letters.sort(key=partial(letter_sort_key, order=order))
+    rank = [[None] * (n + 1) for _ in range(r)]
+    for place, (e, v) in enumerate(letters):
+        rank[e][v] = place
+    return rank
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,8 +254,12 @@ def enumerate_derangements(r, n, bound=None) -> Iterator[CyclicPermutation]:
     yield from _enumerate(r, n, bound, derangements_only=True)
 
 
-def _enumerate(r, n, bound, derangements_only):
-    """The one enumeration loop; the derangement filter is set per value word."""
+def check_enumerable(r, n, bound=None):
+    """Refuse bad sizes (ValueError) and groups past the bound, before any work.
+
+    The bound defaults to the environment or 10^7; r^n n! above it
+    raises EnumerationBoundError.
+    """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if bound is None:
@@ -245,19 +267,174 @@ def _enumerate(r, n, bound, derangements_only):
     cardinality = group_order(r, n)
     if cardinality > bound:
         raise EnumerationBoundError(r, n, cardinality, bound)
-    # every value word runs through the same exponent words; keep them when small
-    cached = list(product(range(r), repeat=n)) if r**n <= 1_000_000 else None
-    positions, any_exponent, nonzero = range(1, n + 1), range(r), range(1, r)
-    for values in permutations(positions):
-        if derangements_only and any(map(eq, values, positions)):
-            # a position holding its own value needs a nonzero exponent
-            words = product(
-                *[nonzero if v == i else any_exponent for i, v in zip(positions, values)]
-            )
+
+
+def _enumerate(r, n, bound, derangements_only):
+    """The walk over letter tuples; a state is the tuple of letters placed so far."""
+    check_enumerable(r, n, bound)
+    # one-letter tuples, so that growing a word is a tuple concatenation
+    letters = [[(SignedLetter(e, v),) for v in range(n + 1)] for e in range(r)]
+
+    def grow(q, values, where, words, exponents):
+        grown = [letters[e][values[q]] for e in exponents]
+        if q < n:
+            return [w + g for w in words for g in grown]
+        return (w + g for w in words for g in grown)
+
+    element = partial(CyclicPermutation, r)
+    for batch in _walk(r, n, derangements_only, (), grow):
+        yield from map(element, batch)
+
+
+def _walk(r, n, derangements_only, root, grow):
+    """The one enumeration loop, shared by the element generators and the tallies.
+
+    Visits C_r wr S_n, or only its derangements, lexicographically in
+    (value word, exponent word).  Each element is grown position by
+    position from ``root``: ``grow(q, values, where, states, exponents)``
+    takes the states of the exponent prefixes of positions 1..q-1, in
+    lexicographic order, to those of positions 1..q, where position q
+    holds ``values[q]`` with each exponent of ``exponents``.  It returns
+    a list for q < n and may return a lazy iterable for q = n, so that no
+    list of elements is built.  ``values[q]`` is the value at position q
+    (``values[0] = 0`` stands for the boundary letter) and ``where[v]``
+    the position holding v in the current value word.
+
+    Value words come from ``permutations`` in lexicographic order; one
+    shares a prefix with the previous one, and only the positions after
+    it are grown again.  When only derangements are wanted, a position
+    holding its own value takes only nonzero exponents, so fixed points
+    are pruned while growing; at r = 1 that leaves none, and every value
+    word sharing the prefix is skipped.  Yields one batch of final states
+    per value word.  Callers run ``check_enumerable`` first.
+    """
+    if n == 0:
+        yield [root]
+        return
+    every, nonzero = range(r), range(1, r)
+    values = [0] * (n + 1)
+    where = [0] * (n + 1)
+    levels = [[root]] + [None] * (n - 1)  # levels[q]: states of positions 1..q
+    previous = (0,) * n
+    dead = n + 1  # at r = 1, the prefix of this length holds a fixed point
+    for word in permutations(range(1, n + 1)):
+        shared = 0
+        while word[shared] == previous[shared]:
+            shared += 1
+        previous = word
+        if shared >= dead:
+            continue
+        dead = n + 1
+        values[shared + 1:] = word[shared:]
+        for q, v in enumerate(word[shared:], shared + 1):
+            where[v] = q
+        states = levels[shared]
+        for q in range(shared + 1, n):
+            exponents = nonzero if derangements_only and values[q] == q else every
+            if not exponents:
+                dead = q
+                break
+            states = levels[q] = grow(q, values, where, states, exponents)
         else:
-            words = cached or product(range(r), repeat=n)
-        for exps in words:
-            yield CyclicPermutation(r, tuple(map(SignedLetter, exps, values)))
+            exponents = nonzero if derangements_only and values[n] == n else every
+            if exponents:
+                yield grow(n, values, where, states, exponents)
+
+
+class Statistics(NamedTuple):
+    """maj and des in a letter order, sgn, and exc in the standard order."""
+
+    maj: int
+    des: int
+    sgn: int
+    exc: int
+
+
+def _statistics_tally(r, n, order=STANDARD, derangements_only=False, bound=None):
+    """Counter of ``Statistics`` over the walk, read from integer rank tables.
+
+    A state packs, from the low bits up: one sign bit per placed position
+    (set when its exponent is nonzero), the exponent of the last placed
+    position, and the running exc, des, sgn and maj.  Growing position q
+    adds one delta per exponent, looked up by the bits the delta depends
+    on: the last exponent (for the descent at q-1 -> q) and the sign bits
+    of the earlier positions the excedance tests at q read.  The test of
+    a position i holding v (see ``stats.weak_excedance_count``) runs once
+    both i and v are placed: at q = i when v < i, at q = v when v > i.
+    Letters of distinct values compare in the standard order by value and
+    sign alone, so a sign bit stands in for the exponent.
+    """
+    check_enumerable(r, n, bound)
+    ranks = rank_table(r, n, order)
+    standard = rank_table(r, n, STANDARD)
+    by_sign = (standard[0], standard[min(r - 1, 1)])
+    signs = range(min(r, 2))
+    last_shift = n
+    low = last_shift + (r - 1).bit_length()
+    exc_shift = low
+    des_shift = exc_shift + n.bit_length()
+    sgn_shift = des_shift + n.bit_length()
+    maj_shift = sgn_shift + (n * (r - 1)).bit_length()
+    last_mask = (1 << low) - (1 << last_shift)
+
+    def transitions(q, u, v, va, b, exponents):
+        a = v if v < q else 0
+        watched = sorted({a, b} - {0})
+        mask = last_mask | sum(1 << (p - 1) for p in watched)
+        table = {}
+        for last in range(r) if q > 1 else (0,):
+            before = ranks[last][u]
+            for bits in product(signs, repeat=len(watched)):
+                sign = dict(zip(watched, bits))
+                context = last << last_shift
+                context |= sum(s << (p - 1) for p, s in sign.items())
+                row = table[context] = []
+                for e in exponents:
+                    s = min(e, 1)
+                    descent = before > ranks[e][v]
+                    exc = 0
+                    if v == q:
+                        exc = 1 - s
+                    if a:
+                        exc += by_sign[sign[a]][va] > by_sign[s][v]
+                    if b:
+                        exc += by_sign[s][v] > by_sign[sign[b]][q]
+                    row.append(
+                        ((descent * (q - 1)) << maj_shift)
+                        + (descent << des_shift)
+                        + (e << sgn_shift)
+                        + (exc << exc_shift)
+                        + ((e - last) << last_shift)
+                        + (s << (q - 1))
+                    )
+        return mask, table
+
+    cache = {}
+
+    def grow(q, values, where, states, exponents):
+        v, b = values[q], where[q]
+        key = (q, values[q - 1], v, values[v] if v < q else 0, b if b < q else 0)
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = transitions(*key, exponents)
+        mask, table = found
+        if q < n:
+            return [s + d for s in states for d in table[s & mask]]
+        return ((s + d) >> low for s in states for d in table[s & mask])
+
+    packed = Counter(chain.from_iterable(_walk(r, n, derangements_only, 0, grow)))
+    tally = Counter()
+    field = (1 << n.bit_length()) - 1
+    for key, count in packed.items():
+        tally[
+            Statistics(
+                maj=key >> (maj_shift - low),
+                des=key >> (des_shift - low) & field,
+                sgn=key >> (sgn_shift - low) & ((1 << (maj_shift - sgn_shift)) - 1),
+                exc=key & field,
+            )
+        ] += count
+    return tally
 
 
 def to_text(sigma):

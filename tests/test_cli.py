@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import metadata
+from math import factorial
 from pathlib import Path
 
 import pytest
 
-from cyclic_derangements import cli, verify
+from cyclic_derangements import cli, counting, verify
+from cyclic_derangements.polynomials import BivariatePolynomial
 from cyclic_derangements.verify import Check
 
 
@@ -332,6 +335,42 @@ def test_dump_derangements_only_with_alternate_order(capsys):
     assert len(lines) == 13
     assert all(doc["derangement"] for doc in lines)
     assert all(doc["order"] == "alternate" for doc in lines)
+
+
+DUMP_KEYS = ("maj", "des", "sgn", "exc", "sub")
+
+
+def _dump_lines(capsys, r, n, order, only):
+    argv = ["dump", "--r", str(r), "--n", str(n), "--order", order]
+    if only:
+        argv.append("--derangements-only")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    return [json.loads(line) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("only", [False, True], ids=["group", "derangements"])
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 3), (1, 6)])
+def test_dump_statistics_match_the_closed_forms(capsys, r, n, only):
+    excs = {}
+    for order in ("standard", "alternate"):
+        lines = _dump_lines(capsys, r, n, order, only)
+        expected_lines = counting.derangement_count(r, n) if only else r**n * factorial(n)
+        assert len(lines) == expected_lines
+        assert all(key in doc for doc in lines for key in DUMP_KEYS)
+        maj_sgn = BivariatePolynomial(Counter((doc["maj"], doc["sgn"]) for doc in lines))
+        exc = BivariatePolynomial(Counter((doc["exc"], 0) for doc in lines))
+        ascents = BivariatePolynomial(Counter((n - doc["des"], 0) for doc in lines))
+        if only:
+            assert maj_sgn == counting.qt_derangement_one_term(r, n)
+            assert exc == counting.exc_derangement_poly(r, n)
+        else:
+            assert maj_sgn == counting.group_qt_closed(r, n)
+            assert exc == counting.eulerian_from_exc(r, n)
+            assert ascents == counting.eulerian_from_exc(r, n)
+        excs[order] = [doc["exc"] for doc in lines]
+    # exc is read in the standard order whatever --order says
+    assert excs["standard"] == excs["alternate"]
 
 
 # -- error handling ----------------------------------------------------------------
