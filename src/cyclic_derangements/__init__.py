@@ -13,11 +13,9 @@ all over exact integer and rational arithmetic.
 from .counting import (
     COUNT_METHODS,
     CheckLine,
-    CountTable,
     Discrepancy,
     REFERENCE_COUNTS,
     count_by_method,
-    count_table,
     derangement_count,
     derangement_count_enumerated,
     derangement_count_mixed_transform,
@@ -70,10 +68,8 @@ from .roots import (
     verify_negative_distinct,
 )
 from .series import (
-    NonPolynomialCoefficientError,
     TruncatedSeries,
     ZeroConstantTermError,
-    coefficient_as_integer,
     coefficient_as_polynomial,
 )
 from .stats import (

@@ -50,6 +50,17 @@ def _parse_range(text):
     return range(low, high + 1)
 
 
+def _bound(text):
+    """An enumeration cap from the command line; caps below 1 are rejected."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _order_from_name(name):
     return ALTERNATE if name == "alternate" else STANDARD
 
@@ -125,14 +136,17 @@ def cmd_table(args):
             )
             print(f"{r:<4}{body}")
     if discrepancies is not None:
+        # beside a CSV stream the report goes to stderr, so stdout stays CSV
+        report = sys.stderr if args.format == "csv" else sys.stdout
         if discrepancies:
             for d in discrepancies:
                 print(
                     f"reference mismatch at r={d['r']}, n={d['n']}: "
-                    f"published {d['reference']}, computed {d['computed']}"
+                    f"published {d['reference']}, computed {d['computed']}",
+                    file=report,
                 )
         else:
-            print("reference table matches everywhere")
+            print("reference table matches everywhere", file=report)
     return 0
 
 
@@ -291,7 +305,7 @@ def build_parser():
         action="store_true",
         help="also diff against the published table embedded in the package",
     )
-    p_table.add_argument("--bound", type=int, default=None, help="enumeration cap for brute-force")
+    p_table.add_argument("--bound", type=_bound, default=None, help="enumeration cap for brute-force")
     p_table.set_defaults(run=cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one polynomial from the families")
@@ -335,7 +349,7 @@ def build_parser():
     )
     p_dump.add_argument("--derangements-only", action="store_true")
     p_dump.add_argument("--order", default="standard", choices=("standard", "alternate"))
-    p_dump.add_argument("--bound", type=int, default=None, help="enumeration cap")
+    p_dump.add_argument("--bound", type=_bound, default=None, help="enumeration cap")
     p_dump.set_defaults(run=cmd_dump)
 
     return parser

@@ -27,7 +27,6 @@ from .polynomials import (
     t_bracket,
 )
 from .series import (
-    coefficient_as_integer,
     coefficient_as_polynomial,
     q_egf_divide,
     series_divide,
@@ -116,15 +115,6 @@ def fixed_point_count(r, n, k):
     return comb(n, k) * derangement_count(r, n - k)
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """One row of counts d_0..d_N for a fixed modulus."""
-
-    r: int
-    values: tuple
-    method: str
-
-
 COUNT_METHODS = {
     "formula": derangement_count,
     "two-term": derangement_count_two_term,
@@ -142,11 +132,6 @@ def count_by_method(method, r, n, bound=None):
     if method == "brute-force":
         return fn(r, n, bound)
     return fn(r, n)
-
-
-def count_table(r, n_max, method="formula", bound=None):
-    values = tuple(count_by_method(method, r, n, bound) for n in range(n_max + 1))
-    return CountTable(r, values, method)
 
 
 # Published reference values for r <= 5, n <= 6, kept verbatim for
@@ -335,21 +320,20 @@ def _eulerian_from_polys(exc_polys, n):
 
 
 def derangement_egf(r, order):
-    """exp(-x) / (1 - r x) over Fraction coefficients."""
+    """exp(-x) / (1 - r x) over Z: the scaled coefficients n! [x^n], all integers."""
     _require_r(r)
-    numerator = series_exp_linear(Fraction(-1), order)
-    denominator = series_from_coefficients([Fraction(1), Fraction(-r)], order)
-    return series_divide(numerator, denominator)
+    denominator = series_from_coefficients([1, -r], order)
+    return series_divide(series_exp_linear(-1, order), denominator)
 
 
 def exc_derangement_egf(r, order):
     """(1-q) exp(x(r-1)) / (exp(qrx) - q exp(rx)) as a q-EGF over Z[q]."""
     _require_r(r)
     q = BivariatePolynomial.q()
-    numerator = series_scale(series_exp_linear(r - 1, order, egf=True), 1 - q)
+    numerator = series_scale(series_exp_linear(r - 1, order), 1 - q)
     denominator = series_sub(
-        series_exp_linear(q * r, order, egf=True),
-        series_scale(series_exp_linear(r, order, egf=True), q),
+        series_exp_linear(q * r, order),
+        series_scale(series_exp_linear(r, order), q),
     )
     return q_egf_divide(numerator, denominator)
 
@@ -359,10 +343,10 @@ def _eulerian_type_egf(numerator_rate, r, order):
     _require_r(r)
     q = BivariatePolynomial.q()
     u = 1 - q
-    numerator = series_scale(series_exp_linear(u * numerator_rate, order, egf=True), u)
+    numerator = series_scale(series_exp_linear(u * numerator_rate, order), u)
     denominator = series_sub(
-        series_from_coefficients([BivariatePolynomial.one()], order, egf=True),
-        series_scale(series_exp_linear(u * r, order, egf=True), q),
+        series_from_coefficients([BivariatePolynomial.one()], order),
+        series_scale(series_exp_linear(u * r, order), q),
     )
     return q_egf_divide(numerator, denominator)
 
@@ -420,11 +404,10 @@ def _check_lines(label, expected, actual, render=str):
 
 def egf_check_derangements(r, n_max):
     """n! [x^n] of exp(-x)/(1-rx) against the closed-form counts."""
-    series = derangement_egf(r, n_max)
     return _check_lines(
         f"derangement-egf r={r}",
         [derangement_count(r, n) for n in range(n_max + 1)],
-        [coefficient_as_integer(series, n) for n in range(n_max + 1)],
+        derangement_egf(r, n_max).coeffs,
     )
 
 

@@ -167,15 +167,8 @@ class SturmChain:
 
 
 def _cauchy_bound(coeffs):
-    return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
-
-
-def cauchy_bound(poly):
     """All real roots lie strictly inside (-M, M)."""
-    coeffs = _coefficients(poly)
-    if len(coeffs) < 2:
-        raise ValueError("root bound needs degree at least 1")
-    return _cauchy_bound(coeffs)
+    return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
 
 
 @dataclass(frozen=True)

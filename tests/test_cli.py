@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -69,6 +70,16 @@ def test_table_compare_reference_reports_the_mismatch(capsys):
     code, out, _ = run(capsys, "table", "--compare-reference")
     assert code == 0
     assert "reference mismatch at r=3, n=2: published 12, computed 13" in out
+
+
+def test_table_csv_compare_reference_keeps_stdout_csv(capsys):
+    code, out, err = run(capsys, "table", "--compare-reference", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    width = len(next(csv.reader([lines[0]])))
+    assert len(lines) == 6
+    assert all(len(next(csv.reader([line]))) == width for line in lines)
+    assert "reference mismatch at r=3, n=2: published 12, computed 13" in err
 
 
 def test_table_compare_reference_json(capsys):
@@ -408,6 +419,18 @@ def test_dump_without_target_exits_two(capsys):
 def test_bound_refusal_exits_two(capsys):
     code, _, err = run(capsys, "dump", "--r", "2", "--n", "4", "--bound", "10")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command", [("table", "--method", "brute-force"), ("dump", "--r", "2", "--n", "3")]
+)
+def test_bound_below_one_exits_two_before_any_work(capsys, command, bound):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--bound", bound])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bound: must be at least 1" in captured.err
 
 
 def test_bad_range_exits_two(capsys):

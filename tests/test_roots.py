@@ -12,7 +12,6 @@ from cyclic_derangements.roots import (
     DEFAULT_TOLERANCE,
     NotSquarefreeError,
     SturmChain,
-    cauchy_bound,
     is_log_concave,
     is_unimodal,
     isolate_roots,
@@ -189,12 +188,9 @@ def test_sturm_root_count_matches_construction(magnitudes):
 
 
 def test_cauchy_bound_encloses_roots():
-    bound = cauchy_bound(CUBIC)
+    bound = roots._cauchy_bound(CUBIC.q_coefficient_list())
     assert bound == 11
-    chain = SturmChain(CUBIC)
-    assert chain.count_roots(-bound, bound) == 3
-    with pytest.raises(ValueError):
-        cauchy_bound(poly(7))
+    assert SturmChain(CUBIC).count_roots(-bound, bound) == 3
 
 
 # -- root isolation ----------------------------------------------------------------

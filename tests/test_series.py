@@ -1,185 +1,164 @@
-from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclic_derangements.counting import derangement_count, derangement_egf
 from cyclic_derangements.polynomials import BivariatePolynomial, InexactDivisionError
 from cyclic_derangements.series import (
-    NonPolynomialCoefficientError,
     TruncatedSeries,
     ZeroConstantTermError,
-    coefficient_as_integer,
     coefficient_as_polynomial,
     q_egf_divide,
-    series_add,
     series_divide,
     series_exp_linear,
     series_from_coefficients,
-    series_mul,
     series_scale,
     series_sub,
 )
 
-F = Fraction
+Q = BivariatePolynomial.q()
 
 
-def rational_series(order=6):
-    return st.lists(
-        st.fractions(min_value=-4, max_value=4, max_denominator=5),
-        min_size=order + 1,
-        max_size=order + 1,
-    ).map(lambda cs: TruncatedSeries(order, tuple(cs)))
+def convolve(a, b):
+    """Reference product of two scaled series: the binomial convolution."""
+    zero = a.coeffs[0] * 0
+    return TruncatedSeries(
+        a.order,
+        tuple(
+            sum((comb(k, j) * a.coeffs[j] * b.coeffs[k - j] for j in range(k + 1)), zero)
+            for k in range(a.order + 1)
+        ),
+    )
+
+
+def series_of(coefficients, order, constant=None):
+    """Series whose constant term is drawn from ``constant`` (by default as the rest)."""
+    rest = st.lists(coefficients, min_size=order, max_size=order)
+    return st.tuples(coefficients if constant is None else constant, rest).map(
+        lambda parts: TruncatedSeries(order, (parts[0], *parts[1]))
+    )
+
+
+INTEGERS = st.integers(-6, 6)
+ZQ = st.lists(INTEGERS, max_size=4).map(BivariatePolynomial.from_q_coefficients)
+UNITS = st.sampled_from((1, -1))
+
+
+def at_q(series, q_value):
+    """The integer series of a Z[q] series at q = q_value."""
+    return TruncatedSeries(series.order, tuple(c.evaluate(q_value) for c in series.coeffs))
 
 
 def test_construction_checks_length():
     with pytest.raises(ValueError):
-        TruncatedSeries(3, (F(1),))
+        TruncatedSeries(3, (1,))
 
 
 def test_exp_series_coefficients():
-    e = series_exp_linear(F(2), 5)
-    for k in range(6):
-        assert e.coefficient(k) == F(2**k, factorial(k))
+    assert series_exp_linear(2, 5).coeffs == tuple(2**k for k in range(6))
+    assert series_exp_linear(Q, 3).coefficient(2) == Q**2
 
 
 def test_from_coefficients_pads_with_matching_zero():
-    s = series_from_coefficients([F(3), F(1)], 4)
-    assert s.coeffs == (F(3), F(1), F(0), F(0), F(0))
-    one = BivariatePolynomial.one()
-    t = series_from_coefficients([one], 2, egf=True)
-    assert t.coefficient(2) == BivariatePolynomial.zero()
+    assert series_from_coefficients([3, 1], 4).coeffs == (3, 1, 0, 0, 0)
+    s = series_from_coefficients([BivariatePolynomial.one()], 2)
+    assert s.coefficient(2) == BivariatePolynomial.zero()
+    assert isinstance(s.coefficient(2), BivariatePolynomial)
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        series_add(series_exp_linear(F(1), 3), series_exp_linear(F(1), 4))
+        series_sub(series_exp_linear(1, 3), series_exp_linear(1, 4))
+    with pytest.raises(ValueError):
+        series_divide(series_exp_linear(1, 3), series_exp_linear(1, 4))
 
 
-@given(rational_series(), rational_series())
-def test_mul_commutes_and_distributes(a, b):
-    assert series_mul(a, b).coeffs == series_mul(b, a).coeffs
-    c = series_exp_linear(F(1), a.order)
-    lhs = series_mul(series_add(a, b), c)
-    rhs = series_add(series_mul(a, c), series_mul(b, c))
-    assert lhs.coeffs == rhs.coeffs
-
-
-@given(rational_series())
-def test_divide_inverts_multiply(a):
-    b = series_from_coefficients([F(2), F(-1), F(1, 3)], a.order)
-    assert series_divide(series_mul(a, b), b).coeffs == a.coeffs
+@given(series_of(INTEGERS, 6), series_of(INTEGERS, 6, UNITS))
+def test_divide_inverts_multiply(a, b):
+    assert series_divide(convolve(a, b), b) == a
+    assert convolve(series_divide(a, b), b) == a
 
 
 def test_divide_requires_invertible_constant():
-    order = 4
-    numerator = series_exp_linear(F(1), order)
-    bad = series_from_coefficients([F(0), F(1)], order)
+    numerator = series_exp_linear(3, 3)
     with pytest.raises(ZeroConstantTermError):
-        series_divide(numerator, bad)
+        series_divide(numerator, series_from_coefficients([0, 1], 3))
+    # -1 is a unit of Z, 2 is not
+    minus_one = series_from_coefficients([-1], 3)
+    assert series_divide(numerator, minus_one) == series_scale(numerator, -1)
+    with pytest.raises(InexactDivisionError):
+        series_divide(numerator, series_from_coefficients([2], 3))
 
 
 def test_geometric_series_division():
-    # 1 / (1 - x): all coefficients 1
+    # 1 / (1 - x) = sum x^k: every scaled coefficient is k!
     order = 6
-    one = series_from_coefficients([F(1)], order)
-    den = series_from_coefficients([F(1), F(-1)], order)
-    geo = series_divide(one, den)
-    assert geo.coeffs == tuple(F(1) for _ in range(order + 1))
+    one = series_from_coefficients([1], order)
+    geo = series_divide(one, series_from_coefficients([1, -1], order))
+    assert geo.coeffs == tuple(factorial(k) for k in range(order + 1))
+
+
+def test_derangement_egf_coefficients_are_the_counts():
+    for r in range(1, 6):
+        assert derangement_egf(r, 12).coeffs == tuple(derangement_count(r, n) for n in range(13))
 
 
 def test_scale_and_sub():
-    order = 3
-    a = series_exp_linear(F(1), order)
-    doubled = series_scale(a, F(2))
-    assert series_sub(doubled, a).coeffs == a.coeffs
-
-
-def test_coefficient_as_integer():
-    s = series_exp_linear(F(3), 4)
-    assert coefficient_as_integer(s, 2) == 9  # 2! * 9/2
-    bad = series_from_coefficients([F(1, 3)], 2)
-    with pytest.raises(NonPolynomialCoefficientError):
-        coefficient_as_integer(bad, 0)
+    a = series_exp_linear(1, 3)
+    assert series_sub(series_scale(a, 2), a).coeffs == a.coeffs
 
 
 def test_coefficient_as_polynomial_over_rational_functions():
-    q = BivariatePolynomial.q()
-    s = series_exp_linear(q, 3, egf=True)
-    p = coefficient_as_polynomial(s, 2)  # 2! * q^2/2! = q^2
+    p = coefficient_as_polynomial(series_exp_linear(Q, 3), 2)  # 2! * q^2/2! = q^2
     assert p.q_coefficient_list() == [0, 0, 1]
-    ordinary = series_from_coefficients([q, q], 3)
-    assert coefficient_as_polynomial(ordinary, 1) == q
+    assert coefficient_as_polynomial(series_exp_linear(3, 4), 2) == BivariatePolynomial.constant(9)
 
 
 def test_coefficient_as_polynomial_rejects_residual_denominator():
     # exp(x) / (1 - q): the numerator lacks the factor 1 - q, so the
     # quotient has a denominator left over and must not come out at all
-    one = BivariatePolynomial.one()
-    numerator = series_exp_linear(one, 2, egf=True)
-    denominator = series_from_coefficients([1 - BivariatePolynomial.q()], 2, egf=True)
+    numerator = series_exp_linear(BivariatePolynomial.one(), 2)
+    denominator = series_from_coefficients([1 - Q], 2)
     with pytest.raises(InexactDivisionError):
         q_egf_divide(numerator, denominator)
 
 
-# -- EGF form over Z[q] ---------------------------------------------------------------
+# -- over Z[q] -------------------------------------------------------------------------
 
 
-def zq_egf_series(order=5):
-    polys = st.lists(st.integers(-6, 6), max_size=4).map(
-        BivariatePolynomial.from_q_coefficients
-    )
-    return st.lists(polys, min_size=order + 1, max_size=order + 1).map(
-        lambda cs: TruncatedSeries(order, tuple(cs), egf=True)
-    )
-
-
-def at_q(series, q_value):
-    """The ordinary Fraction series of an EGF-form series at q = q_value."""
-    return TruncatedSeries(
-        series.order,
-        tuple(Fraction(c.evaluate(q_value), factorial(k)) for k, c in enumerate(series.coeffs)),
-    )
-
-
-@given(zq_egf_series(), zq_egf_series())
+@given(series_of(ZQ, 5), series_of(ZQ, 5, UNITS.map(BivariatePolynomial.constant)))
 def test_egf_mul_and_divide_over_zq(a, b):
-    product = series_mul(a, b)
-    assert at_q(product, 2).coeffs == series_mul(at_q(a, 2), at_q(b, 2)).coeffs
-    unit = TruncatedSeries(b.order, (BivariatePolynomial.one(),) + b.coeffs[1:], egf=True)
-    assert series_divide(series_mul(a, unit), unit) == a
+    assert series_divide(convolve(a, b), b) == a
+    # evaluating at q = 2 commutes with the division
+    assert at_q(series_divide(a, b), 2) == series_divide(at_q(a, 2), at_q(b, 2))
 
 
 def test_egf_divide_needs_invertible_constant_term():
-    q = BivariatePolynomial.q()
-    numerator = series_exp_linear(q, 3, egf=True)
+    numerator = series_exp_linear(Q, 3)
     with pytest.raises(ZeroConstantTermError):
-        series_divide(numerator, series_from_coefficients([0 * q, q], 3, egf=True))
+        series_divide(numerator, series_from_coefficients([0 * Q, Q], 3))
     # a constant term -1 is a unit of Z[q]; 2 is not
-    minus_one = series_from_coefficients([BivariatePolynomial.constant(-1)], 3, egf=True)
+    minus_one = series_from_coefficients([BivariatePolynomial.constant(-1)], 3)
     assert series_divide(numerator, minus_one) == series_scale(numerator, -1)
-    two = series_from_coefficients([BivariatePolynomial.constant(2)], 3, egf=True)
+    two = series_from_coefficients([BivariatePolynomial.constant(2)], 3)
     with pytest.raises(InexactDivisionError):
         series_divide(numerator, two)
-    with pytest.raises(ValueError):
-        series_divide(numerator, series_exp_linear(F(1), 3))
 
 
 def test_q_egf_divide_takes_out_one_minus_q_once():
-    q = BivariatePolynomial.q()
-    u = 1 - q
-    reduced_numerator = series_exp_linear(q + 2, 4, egf=True)
-    reduced_denominator = series_from_coefficients([BivariatePolynomial.one(), q, 3 * q], 4, egf=True)
+    u = 1 - Q
+    reduced_numerator = series_exp_linear(Q + 2, 4)
+    reduced_denominator = series_from_coefficients([BivariatePolynomial.one(), Q, 3 * Q], 4)
     expected = series_divide(reduced_numerator, reduced_denominator)
     assert q_egf_divide(
         series_scale(reduced_numerator, u), series_scale(reduced_denominator, u)
     ) == expected
-    assert expected.to_json()["egf"] is True
 
 
 def test_to_json_exact_strings():
-    s = series_from_coefficients([F(1, 3), F(-2)], 2)
-    assert s.to_json() == {
+    assert series_from_coefficients([1, -2], 2).to_json() == {
         "order": 2,
-        "coefficients": ["1/3", "-2", "0"],
+        "coefficients": ["1", "-2", "0"],
     }
+    assert series_exp_linear(Q, 2).to_json()["coefficients"][2] == str(Q**2)
