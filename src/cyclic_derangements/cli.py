@@ -23,9 +23,9 @@ import sys
 from . import counting, roots, verify
 from .stats import ranked_record, stat_record
 from .wreath import (
-    ALTERNATE,
     STANDARD,
     EnumerationBoundError,
+    OrderVariant,
     check_enumerable,
     enumerate_derangements,
     enumerate_group,
@@ -59,10 +59,6 @@ def _bound(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _order_from_name(name):
-    return ALTERNATE if name == "alternate" else STANDARD
 
 
 # -- table -------------------------------------------------------------------
@@ -154,10 +150,10 @@ def cmd_table(args):
 
 
 _POLY_KINDS = {
-    "qt-derangement": lambda r, n: counting.qt_derangement_formula(r, n),
-    "qt-group": lambda r, n: counting.group_qt_closed(r, n),
-    "exc-derangement": lambda r, n: counting.exc_derangement_poly(r, n),
-    "eulerian": lambda r, n: counting.eulerian_from_exc(r, n),
+    "qt-derangement": counting.qt_derangement_formula,
+    "qt-group": counting.group_qt_closed,
+    "exc-derangement": counting.exc_derangement_poly,
+    "eulerian": counting.eulerian_from_exc,
 }
 
 
@@ -258,7 +254,7 @@ def _element_record(sigma, statistics, order_name):
 
 
 def cmd_dump(args):
-    order = _order_from_name(args.order)
+    order = OrderVariant(args.order)
     if args.element is not None:
         sigma = parse(args.element, args.r)
         doc = _element_record(sigma, stat_record(sigma, order), args.order)
@@ -362,10 +358,7 @@ def main(argv=None):
         code = args.run(args)
         sys.stdout.flush()
         return code
-    except EnumerationBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (EnumerationBoundError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -162,9 +162,6 @@ class SturmChain:
         )
         return va - vb
 
-    def count_real_roots(self):
-        return self.count_roots(None, None)
-
 
 def _cauchy_bound(coeffs):
     """All real roots lie strictly inside (-M, M)."""

@@ -22,7 +22,6 @@ the group, without building objects.
 """
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -30,24 +29,7 @@ from functools import partial
 from itertools import chain, permutations, product
 from typing import Iterator, NamedTuple
 
-ENUMERATION_BOUND_ENV = "CYCLIC_DERANGEMENTS_BOUND"
 DEFAULT_ENUMERATION_BOUND = 10_000_000
-
-
-def default_enumeration_bound():
-    """Default cardinality cap, overridable via the environment."""
-    raw = os.environ.get(ENUMERATION_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_BOUND
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENUMERATION_BOUND_ENV} must be an integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"{ENUMERATION_BOUND_ENV} must be positive")
-    return value
 
 
 class WordLengthError(ValueError):
@@ -244,7 +226,7 @@ def enumerate_group(r, n, bound=None) -> Iterator[CyclicPermutation]:
     """All of C_r wr S_n, lexicographic in (value word, exponent word).
 
     Refuses up front (EnumerationBoundError) when r^n n! exceeds the
-    bound; the default comes from the environment or 10^7.
+    bound, which defaults to DEFAULT_ENUMERATION_BOUND (10^7).
     """
     yield from _enumerate(r, n, bound, derangements_only=False)
 
@@ -257,13 +239,13 @@ def enumerate_derangements(r, n, bound=None) -> Iterator[CyclicPermutation]:
 def check_enumerable(r, n, bound=None):
     """Refuse bad sizes (ValueError) and groups past the bound, before any work.
 
-    The bound defaults to the environment or 10^7; r^n n! above it
-    raises EnumerationBoundError.
+    The bound defaults to DEFAULT_ENUMERATION_BOUND (10^7); r^n n! above
+    it raises EnumerationBoundError.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     if bound is None:
-        bound = default_enumeration_bound()
+        bound = DEFAULT_ENUMERATION_BOUND
     cardinality = group_order(r, n)
     if cardinality > bound:
         raise EnumerationBoundError(r, n, cardinality, bound)

@@ -16,6 +16,7 @@ import pytest
 from cyclic_derangements import cli, counting, verify
 from cyclic_derangements.polynomials import BivariatePolynomial
 from cyclic_derangements.verify import Check
+from cyclic_derangements.wreath import enumerate_group
 
 
 def run(capsys, *argv):
@@ -431,6 +432,14 @@ def test_bound_below_one_exits_two_before_any_work(capsys, command, bound):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--bound: must be at least 1" in captured.err
+
+
+def test_the_environment_does_not_set_the_bound(monkeypatch, capsys):
+    # only bound= and --bound set the cap; the environment is not read
+    monkeypatch.setenv(f"{cli.__package__.upper()}_BOUND", "zero")
+    assert sum(1 for _ in enumerate_group(2, 3)) == 48
+    code, out, err = run(capsys, "dump", "--r", "2", "--n", "2")
+    assert code == 0 and err == "" and len(out.splitlines()) == 8
 
 
 def test_bad_range_exits_two(capsys):

@@ -43,7 +43,7 @@ def linear_product(roots):
 
 def test_sturm_counts_roots_of_cubic():
     chain = SturmChain(CUBIC)
-    assert chain.count_real_roots() == 3
+    assert chain.count_roots(None, None) == 3
     assert chain.count_roots(None, Fraction(0)) == 2
     assert chain.count_roots(Fraction(0), None) == 1
     assert chain.count_roots(Fraction(-3), Fraction(-1)) == 1
@@ -68,7 +68,7 @@ def test_sturm_rejects_repeated_roots():
 
 def test_sturm_counts_roots_of_negated_cubic():
     chain = SturmChain(-CUBIC)
-    assert chain.count_real_roots() == 3
+    assert chain.count_roots(None, None) == 3
     assert chain.count_roots(None, Fraction(0)) == 2
     assert chain.count_roots(Fraction(-3), Fraction(-2)) == 1
     assert chain.count_roots(Fraction(3), Fraction(9)) == 0
@@ -81,7 +81,7 @@ def test_sturm_chain_keeps_signs_past_a_negative_lead_and_a_two_degree_drop():
     chain = SturmChain(poly(3, 1, 0, 0, -1))
     assert [len(p) - 1 for p in chain.chain] == [4, 3, 1, 0]
     assert chain.chain[2][-1] < 0
-    assert chain.count_real_roots() == 2
+    assert chain.count_roots(None, None) == 2
     assert chain.count_roots(None, Fraction(0)) == 1
     assert chain.count_roots(Fraction(1), Fraction(2)) == 1
     assert chain.count_roots(Fraction(-2), Fraction(-1)) == 1
@@ -183,7 +183,7 @@ def test_sturm_count_matches_the_fraction_reference(coeffs, a, b):
 @given(st.sets(st.integers(1, 25), min_size=1, max_size=5))
 def test_sturm_root_count_matches_construction(magnitudes):
     chain = SturmChain(linear_product([-m for m in magnitudes]))
-    assert chain.count_real_roots() == len(magnitudes)
+    assert chain.count_roots(None, None) == len(magnitudes)
     assert chain.count_roots(None, Fraction(0)) == len(magnitudes)
 
 

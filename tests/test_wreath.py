@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from cyclic_derangements.wreath import (
     ALTERNATE,
     DEFAULT_ENUMERATION_BOUND,
-    ENUMERATION_BOUND_ENV,
     STANDARD,
     CyclicPermutation,
     EnumerationBoundError,
@@ -17,7 +16,6 @@ from cyclic_derangements.wreath import (
     apply,
     compare,
     cycle_decomposition,
-    default_enumeration_bound,
     enumerate_derangements,
     enumerate_group,
     fixed_points,
@@ -181,23 +179,9 @@ def test_enumeration_bound_guard():
     for source in (enumerate_group, enumerate_derangements):
         assert inspect.isgeneratorfunction(source)
         gen = source(10, 10)
-        with pytest.raises(EnumerationBoundError):
+        with pytest.raises(EnumerationBoundError) as info:
             next(gen)
-
-
-def test_bound_env_override(monkeypatch):
-    monkeypatch.delenv(ENUMERATION_BOUND_ENV, raising=False)
-    assert default_enumeration_bound() == DEFAULT_ENUMERATION_BOUND
-    monkeypatch.setenv(ENUMERATION_BOUND_ENV, "50")
-    assert default_enumeration_bound() == 50
-    with pytest.raises(EnumerationBoundError):
-        list(enumerate_group(2, 4))
-    monkeypatch.setenv(ENUMERATION_BOUND_ENV, "zero")
-    with pytest.raises(ValueError):
-        default_enumeration_bound()
-    monkeypatch.setenv(ENUMERATION_BOUND_ENV, "-3")
-    with pytest.raises(ValueError):
-        default_enumeration_bound()
+        assert info.value.bound == DEFAULT_ENUMERATION_BOUND
 
 
 # -- text round-trip ------------------------------------------------------------------
