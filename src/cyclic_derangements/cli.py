@@ -245,8 +245,7 @@ def cmd_roots(args):
 # -- dump ---------------------------------------------------------------------
 
 
-def _element_record(sigma, statistics, order_name):
-    record = statistics.to_json()
+def _element_record(sigma, record, order_name):
     record["element"] = to_text(sigma)
     record["derangement"] = is_derangement(sigma)
     record["order"] = order_name

@@ -507,14 +507,14 @@ def is_unimodal(coefficients):
     return True
 
 
-def roots_report(poly, tolerance=DEFAULT_TOLERANCE):
+def roots_report(poly):
     """Full JSON-ready root analysis of one polynomial."""
     coeffs = _coefficients(poly)
     k = _zero_multiplicity(coeffs)
     body = {}
     if len(coeffs) - k > 1:
         try:
-            body.update(isolate_roots(_shift_down(coeffs, k), tolerance).to_json())
+            body.update(isolate_roots(_shift_down(coeffs, k)).to_json())
         except NotSquarefreeError:
             pass
     body["degree"] = len(coeffs) - 1  # the undeflated degree

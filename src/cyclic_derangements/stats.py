@@ -19,7 +19,6 @@ Conventions:
   fully multiplicative reading.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .wreath import (
@@ -63,7 +62,7 @@ def exponent_sum(word):
     return sum(l.exponent for l in _letters(word))
 
 
-def subcedant_count(word, order=STANDARD):
+def subcedant_count(word):
     """Positions i with w_i < i (the plain letter i).
 
     Signed letters sit below every plain letter in both order variants,
@@ -73,7 +72,7 @@ def subcedant_count(word, order=STANDARD):
     return sum(
         1
         for i, l in enumerate(letters, 1)
-        if compare(l, SignedLetter(0, i), order) < 0
+        if compare(l, SignedLetter(0, i)) < 0
     )
 
 
@@ -160,34 +159,15 @@ def shuffles(alpha, beta):
         yield tuple(word)
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    """Joint statistics of one element; JSON keys are the flat contract."""
-
-    maj: int
-    des: int
-    sgn: int
-    exc: int
-    sub: int
-
-    def to_json(self):
-        return {
-            "maj": self.maj,
-            "des": self.des,
-            "sgn": self.sgn,
-            "exc": self.exc,
-            "sub": self.sub,
-        }
-
-
 def stat_record(sigma, order=STANDARD):
-    return StatRecord(
-        maj=major_index(sigma, order),
-        des=descent_count(sigma, order),
-        sgn=exponent_sum(sigma),
-        exc=weak_excedance_count(sigma),
-        sub=subcedant_count(sigma, order),
-    )
+    """Joint statistics of one element; its keys are the ``dump`` contract."""
+    return {
+        "maj": major_index(sigma, order),
+        "des": descent_count(sigma, order),
+        "sgn": exponent_sum(sigma),
+        "exc": weak_excedance_count(sigma),
+        "sub": subcedant_count(sigma),
+    }
 
 
 def ranked_record(sigma, ranks, standard_ranks):
@@ -213,4 +193,4 @@ def ranked_record(sigma, ranks, standard_ranks):
         else:
             f, w = letters[v - 1]
             exc += standard_ranks[f][w] > standard_ranks[e][v]
-    return StatRecord(maj=maj, des=des, sgn=sgn, exc=exc, sub=sub)
+    return {"maj": maj, "des": des, "sgn": sgn, "exc": exc, "sub": sub}

@@ -22,6 +22,7 @@ from .polynomials import (
     q_binomial,
     reciprocal_check,
 )
+from .series import coefficient_as_polynomial
 from .stats import (
     derangement_part,
     descent_set,
@@ -420,7 +421,6 @@ def suite_egf():
         ):
             params = {"r": r, "n_max": n_max}
             checks.append(_collapse("egf", name, params, egf_check(r, n_max)))
-    from .series import coefficient_as_polynomial
 
     def alternate_matches(r):
         series = counting.eulerian_egf_alternate(r, 4)

@@ -206,8 +206,8 @@ def test_eulerian_specializes_to_group_order():
 def test_derangement_egf_series():
     series = derangement_egf(2, 5)
     # scaled coefficients n! [x^n]: 1, 1, 5, 29, ...
-    assert series.coefficient(0) == 1
-    assert series.coefficient(3) == 29
+    assert series[0] == 1
+    assert series[3] == 29
 
 
 def test_egf_checks_all_pass():
@@ -215,6 +215,16 @@ def test_egf_checks_all_pass():
         assert all(line.passed for line in egf_check_derangements(r, 7))
         assert all(line.passed for line in egf_check_eulerian(r, 5))
         assert all(line.passed for line in egf_check_exc_derangements(r, 5))
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_q_egf_checks_pass_at_the_benchmark_order(r):
+    # bench/checks.py requires order + 1 passing lines from each q-EGF check
+    order = 20
+    for check in (egf_check_eulerian, egf_check_exc_derangements):
+        lines = check(r, order)
+        assert len(lines) == order + 1
+        assert all(line.passed for line in lines), [l.label for l in lines if not l.passed]
 
 
 def test_checkline_json_shape():

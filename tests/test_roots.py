@@ -226,8 +226,6 @@ def test_isolation_refuses_a_tolerance_that_is_not_positive():
     for tolerance in (0, Fraction(-1, 8)):
         with pytest.raises(ValueError, match="tolerance"):
             isolate_roots(poly(-2, 0, 1), tolerance=tolerance)
-        with pytest.raises(ValueError, match="tolerance"):
-            roots_report(poly(-2, 0, 1), tolerance=tolerance)
     # refused before anything else is looked at, even the input type
     with pytest.raises(ValueError, match="tolerance"):
         isolate_roots([-2, 0, 1], tolerance=0)

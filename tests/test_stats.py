@@ -9,6 +9,7 @@ from cyclic_derangements.stats import (
     exponent_sum,
     major_index,
     shuffle_relabel,
+    ranked_record,
     shuffles,
     stat_record,
     subcedant_count,
@@ -24,6 +25,7 @@ from cyclic_derangements.wreath import (
     is_derangement,
     make,
     parse,
+    rank_table,
 )
 
 
@@ -84,7 +86,12 @@ def test_descent_counts_consistent(sigma):
 
 @given(elements())
 def test_subcedant_count_order_invariant(sigma):
-    assert subcedant_count(sigma, STANDARD) == subcedant_count(sigma, ALTERNATE)
+    # the count reads no order; ranked_record reads sub through either one
+    r, n = sigma.modulus, sigma.size
+    standard = rank_table(r, n, STANDARD)
+    for order in (STANDARD, ALTERNATE):
+        record = ranked_record(sigma, rank_table(r, n, order), standard)
+        assert subcedant_count(sigma) == record["sub"]
 
 
 def test_identity_statistics():
@@ -187,7 +194,7 @@ def test_shuffle_identity_sampled(data):
 
 def test_stat_record_json():
     record = stat_record(parse("2^1,1", 2))
-    assert record.to_json() == {"maj": 0, "des": 1, "sgn": 1, "exc": 1, "sub": 2}
+    assert record == {"maj": 0, "des": 1, "sgn": 1, "exc": 1, "sub": 2}
 
 
 def test_joint_distribution_matches_order_variants():

@@ -46,7 +46,7 @@ def test_integer_routes_match_the_object_route(r, n, order):
     for sigma in enumerate_group(r, n):
         record = stat_record(sigma, order)
         assert ranked_record(sigma, *tables) == record, sigma
-        statistics = Statistics(record.maj, record.des, record.sgn, record.exc)
+        statistics = Statistics(record["maj"], record["des"], record["sgn"], record["exc"])
         group[statistics] += 1
         if is_derangement(sigma):
             deranged[statistics] += 1
@@ -87,7 +87,7 @@ def test_exc_is_read_in_the_standard_order_under_the_alternate_order():
     # the case discriminates: read in the alternate order, exc would differ
     assert _exc_read_in(sigma, ALTERNATE) != weak_excedance_count(sigma)
     tables = rank_table(3, 3, ALTERNATE), rank_table(3, 3, STANDARD)
-    assert ranked_record(sigma, *tables).exc == weak_excedance_count(sigma)
+    assert ranked_record(sigma, *tables)["exc"] == weak_excedance_count(sigma)
     assert ranked_record(sigma, *tables) == stat_record(sigma, ALTERNATE)
     by_exc = Counter()
     for s, count in _statistics_tally(3, 3, ALTERNATE).items():
