@@ -79,9 +79,7 @@ def cmd_table(args):
         cells = [_table_cell(args.method, r, n, args.bound) for n in n_range]
         rows.append((r, cells))
     discrepancies = (
-        [d.to_json() for d in counting.reference_discrepancies()]
-        if args.compare_reference
-        else None
+        counting.reference_discrepancies() if args.compare_reference else None
     )
     if args.format == "json":
         doc = {
@@ -184,17 +182,13 @@ def cmd_verify(args):
         print(json.dumps(report, sort_keys=True))
     else:
         for check in checks:
-            status = "ok" if check.passed else "FAIL"
-            params = (
-                " ".join(f"{k}={v}" for k, v in check.params.items())
-                if check.params
-                else ""
-            )
-            line = f"[{status}] {check.suite}/{check.name}"
+            status = "ok" if check["passed"] else "FAIL"
+            params = " ".join(f"{k}={v}" for k, v in check["params"].items())
+            line = f"[{status}] {check['suite']}/{check['name']}"
             if params:
                 line += f" ({params})"
-            if not check.passed:
-                line += f": {check.detail}"
+            if not check["passed"]:
+                line += f": {check['detail']}"
             print(line)
         summary = report["summary"]
         print(
@@ -219,8 +213,8 @@ def cmd_roots(args):
     if args.interlace_next:
         nxt = builder(args.r, args.n + 1)
         report = roots.verify_interlacing(poly, nxt)
-        body["interlacing_with_next"] = report.to_json()
-        failed = failed or not report.passed
+        body["interlacing_with_next"] = report
+        failed = failed or report["verdict"] != "pass"
     if args.format == "json":
         body["schema"] = SCHEMA
         print(json.dumps(body, sort_keys=True))
@@ -256,6 +250,8 @@ def cmd_dump(args):
     order = OrderVariant(args.order)
     if args.element is not None:
         sigma = parse(args.element, args.r)
+        if args.n is not None and args.n != sigma.size:
+            raise ValueError(f"--element has {sigma.size} letters but --n is {args.n}")
         doc = _element_record(sigma, stat_record(sigma, order), args.order)
         doc["schema"] = SCHEMA
         print(json.dumps(doc, sort_keys=True))

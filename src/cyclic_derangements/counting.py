@@ -16,7 +16,6 @@ d(r,n) / (r^n n!) converges to exp(-1/r).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -143,30 +142,14 @@ REFERENCE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class Discrepancy:
-    r: int
-    n: int
-    reference: int
-    computed: int
-
-    def to_json(self):
-        return {
-            "r": self.r,
-            "n": self.n,
-            "reference": self.reference,
-            "computed": self.computed,
-        }
-
-
 def reference_discrepancies():
-    """Cells where the computed counts differ from the reference table."""
+    """Cells {"r", "n", "reference", "computed"} where table and formula differ."""
     out = []
     for r, row in sorted(REFERENCE_COUNTS.items()):
         for n, ref in enumerate(row):
             computed = derangement_count(r, n)
             if computed != ref:
-                out.append(Discrepancy(r, n, ref, computed))
+                out.append({"r": r, "n": n, "reference": ref, "computed": computed})
     return out
 
 
@@ -358,34 +341,16 @@ def eulerian_egf_alternate(r, order):
     return _eulerian_type_egf(1, r, order)
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    """One comparison inside a verification report."""
-
-    label: str
-    passed: bool
-    expected: str = ""
-    actual: str = ""
-
-    def to_json(self):
-        out = {"label": self.label, "passed": self.passed}
-        if not self.passed:
-            out["expected"] = self.expected
-            out["actual"] = self.actual
-        return out
-
-
 def _check_lines(label, expected, actual, render=str):
-    """One CheckLine per n, comparing the n-th expected and actual values."""
-    return [
-        CheckLine(
-            label=f"{label} n={n}",
-            passed=got == want,
-            expected=render(want),
-            actual=render(got),
-        )
-        for n, (want, got) in enumerate(zip(expected, actual))
-    ]
+    """A line {"label", "passed"} per n; a failing one adds "expected", "actual"."""
+    lines = []
+    for n, (want, got) in enumerate(zip(expected, actual)):
+        line = {"label": f"{label} n={n}", "passed": got == want}
+        if got != want:
+            line["expected"] = render(want)
+            line["actual"] = render(got)
+        lines.append(line)
+    return lines
 
 
 def egf_check_derangements(r, n_max):
@@ -432,6 +397,8 @@ def probability_gap_certificate(r, n):
     Entirely rational: exp(-1/r) is bracketed by the partial sums of its
     alternating series to i = n + 30 and n + 31, and e is replaced by a
     rational lower bound (valid since e only appears on the larger side).
+    Unlike an EGF check line, a passing line keeps "expected" (the bound)
+    and "actual" (the certified gap).
     """
     _require_r(r)
     _require_n(n)
@@ -443,9 +410,9 @@ def probability_gap_certificate(r, n):
     e_lower = sum(Fraction(1, factorial(k)) for k in range(20))
     allowed = e_lower * Fraction(1, r ** (n + 1) * factorial(n + 1))
     worst = max(abs(ratio - lo), abs(ratio - hi))
-    return CheckLine(
-        label=f"probability-gap r={r} n={n}",
-        passed=worst < allowed,
-        expected=f"< {allowed}",
-        actual=str(worst),
-    )
+    return {
+        "label": f"probability-gap r={r} n={n}",
+        "passed": worst < allowed,
+        "expected": f"< {allowed}",
+        "actual": str(worst),
+    }

@@ -7,8 +7,10 @@ integer polynomial and a positive multiple of the classical member, so
 it has the classical signs.  The sign at a rational x = u/w (w > 0) is
 the sign of the homogenized value sum c_j u^j w^(d-j), found by integer
 Horner.  Sturm chains count real roots in half-open intervals, roots are
-isolated by bisection into disjoint rational intervals, and the two
-verification entry points certify
+isolated by bisection into exact rational roots and disjoint rational
+intervals (``isolate_roots`` returns that pair), and the two
+verification entry points, whose reports are plain dicts with the keys
+``roots --format json`` prints, certify
 
 * ``verify_negative_distinct`` -- all roots real, distinct, negative,
   apart from an explicitly reported zero root of multiplicity <= 1, and
@@ -25,7 +27,6 @@ verdicts are exact ("pass" or "fail"): interlacing is read from the
 larger polynomial's Sturm counts between the smaller one's root boxes.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
@@ -168,33 +169,6 @@ def _cauchy_bound(coeffs):
     return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
 
 
-@dataclass(frozen=True)
-class RootIsolation:
-    """Roots of a squarefree polynomial: exact rationals + tight boxes.
-
-    ``exact_roots`` holds every rational root.  Every interval (lo, hi]
-    holds exactly one real root, an irrational one, has width at most
-    the requested tolerance, and overlaps no other interval; an exact
-    root deflated out before the last bisection may lie in one.
-    """
-
-    degree: int
-    exact_roots: tuple
-    intervals: tuple
-
-    @property
-    def real_root_count(self):
-        return len(self.exact_roots) + len(self.intervals)
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "real_roots": self.real_root_count,
-            "exact_roots": [str(x) for x in self.exact_roots],
-            "intervals": [[str(a), str(b)] for a, b in self.intervals],
-        }
-
-
 def _deflate(work, root):
     """work / (x - root); a remainder means ``root`` was no root.
 
@@ -287,7 +261,12 @@ def _isolate(work, tolerance):
 
 
 def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
-    """Isolate every real root of a squarefree polynomial exactly.
+    """(exact_roots, intervals) of a squarefree polynomial, both sorted tuples.
+
+    ``exact_roots`` holds every rational root as a ``Fraction``.  Every
+    interval (lo, hi] holds exactly one real root, an irrational one, has
+    width at most ``tolerance``, and overlaps no other interval; an exact
+    root deflated out before the last bisection may lie in one.
 
     Bisection splits intervals holding several roots by Sturm counts and
     ``_halve`` narrows one holding a single root.  Every rational root is
@@ -303,32 +282,10 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
     exact, boxes, _ = _isolate(original, tolerance)
-    return RootIsolation(
-        len(original) - 1, tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
-    )
+    return tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
 
 
 # -- verification reports -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NegativityReport:
-    """Outcome of the all-roots-real-negative-distinct check."""
-
-    passed: bool
-    detail: str
-    degree: int = 0
-    zero_multiplicity: int = 0
-    negative_roots: int = 0
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "detail": self.detail,
-            "degree": self.degree,
-            "zero_root_multiplicity": self.zero_multiplicity,
-            "negative_roots": self.negative_roots,
-        }
 
 
 def _zero_multiplicity(coeffs):
@@ -345,62 +302,44 @@ def verify_negative_distinct(poly, allow_zero_root=True):
 
     A single root at zero is tolerated (and reported) when
     ``allow_zero_root`` is set: the derangement excedance polynomials
-    pick one up whenever the cyclic group is trivial.
+    pick one up whenever the cyclic group is trivial.  The report is a
+    dict: passed, detail, degree (-1 for the zero polynomial),
+    zero_root_multiplicity and negative_roots.
     """
     p = _coefficients(poly)
-    if not p:
-        return NegativityReport(False, "zero polynomial", degree=-1)
     degree, k = len(p) - 1, _zero_multiplicity(p)
-    limit = 1 if allow_zero_root else 0
-    if k > limit:
-        return NegativityReport(
-            False,
-            f"root at zero has multiplicity {k}",
-            degree=degree,
-            zero_multiplicity=k,
-        )
-    if degree == k:
-        return NegativityReport(
-            True, "no roots besides the reported zero root", degree=k,
-            zero_multiplicity=k,
-        )
-    try:
-        chain = SturmChain(_shift_down(p, k))
-    except NotSquarefreeError:
-        return NegativityReport(
-            False, "repeated root detected", degree=degree,
-            zero_multiplicity=k,
-        )
-    negative = chain.count_roots(None, Fraction(0))
-    passed = negative == degree - k
-    detail = (
-        f"{negative} negative distinct roots out of degree {degree - k}"
-        + (f" plus a simple zero root" if k else "")
-    )
-    return NegativityReport(
-        passed, detail, degree=degree, zero_multiplicity=k,
-        negative_roots=negative,
-    )
+    report = {
+        "passed": False,
+        "detail": "zero polynomial",
+        "degree": degree,
+        "zero_root_multiplicity": k,
+        "negative_roots": 0,
+    }
+    if not p:
+        return report
+    if k > (1 if allow_zero_root else 0):
+        report["detail"] = f"root at zero has multiplicity {k}"
+    elif degree == k:
+        report.update(passed=True, detail="no roots besides the reported zero root")
+    else:
+        try:
+            chain = SturmChain(_shift_down(p, k))
+        except NotSquarefreeError:
+            report["detail"] = "repeated root detected"
+        else:
+            negative = chain.count_roots(None, Fraction(0))
+            report.update(
+                passed=negative == degree - k,
+                detail=f"{negative} negative distinct roots out of degree {degree - k}"
+                + (" plus a simple zero root" if k else ""),
+                negative_roots=negative,
+            )
+    return report
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
-    """Outcome of the strict-separation check for consecutive members."""
-
-    verdict: str  # "pass" | "fail"; exact, never left undecided
-    detail: str
-    pattern: str = ""
-
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "detail": self.detail,
-            "pattern": self.pattern,
-        }
+def _interlacing(verdict, detail, pattern=""):
+    """The interlacing report; ``verdict`` is "pass" or "fail", never undecided."""
+    return {"verdict": verdict, "detail": detail, "pattern": pattern}
 
 
 def _share_a_root(a, b):
@@ -426,15 +365,12 @@ def verify_interlacing(smaller, larger):
     """
     ps, pl = _coefficients(smaller), _coefficients(larger)
     if not ps or not pl:
-        return InterlacingReport("fail", "zero polynomial")
+        return _interlacing("fail", "zero polynomial")
     if len(pl) != len(ps) + 1:
-        return InterlacingReport(
-            "fail",
-            f"degree step is {len(pl) - len(ps)}, expected 1",
-        )
+        return _interlacing("fail", f"degree step is {len(pl) - len(ps)}, expected 1")
     ks, kl = _zero_multiplicity(ps), _zero_multiplicity(pl)
     if ks != kl or ks > 1:
-        return InterlacingReport(
+        return _interlacing(
             "fail",
             f"zero-root multiplicities {ks} and {kl} do not match as simple roots",
         )
@@ -442,12 +378,12 @@ def verify_interlacing(smaller, larger):
     ps, pl = ps[ks:], pl[kl:]
     for name, p in (("smaller", smaller), ("larger", larger)):
         report = verify_negative_distinct(p, allow_zero_root=False)
-        if not report.passed:
-            return InterlacingReport("fail", f"{name} polynomial: {report.detail}")
+        if not report["passed"]:
+            return _interlacing("fail", f"{name} polynomial: {report['detail']}")
     if _share_a_root(ps, pl):
-        return InterlacingReport("fail", "polynomials share a root")
+        return _interlacing("fail", "polynomials share a root")
     if len(ps) == 1:
-        return InterlacingReport("pass", "nothing to separate", pattern="L")
+        return _interlacing("pass", "nothing to separate", pattern="L")
     exact, boxes, work = _isolate(ps, DEFAULT_TOLERANCE)
     chain = SturmChain(larger)
     separated = [(x, x) for x in exact]  # an exact root may lie in a box
@@ -465,8 +401,8 @@ def verify_interlacing(smaller, larger):
     pattern = "s".join("L" * c for c in counts)
     expected = "L" + "sL" * (len(ps) - 1)
     if pattern == expected:
-        return InterlacingReport("pass", "roots alternate strictly", pattern=pattern)
-    return InterlacingReport(
+        return _interlacing("pass", "roots alternate strictly", pattern=pattern)
+    return _interlacing(
         "fail", f"root pattern {pattern} is not alternating", pattern=pattern
     )
 
@@ -511,16 +447,19 @@ def roots_report(poly):
     """Full JSON-ready root analysis of one polynomial."""
     coeffs = _coefficients(poly)
     k = _zero_multiplicity(coeffs)
-    body = {}
+    body = {"degree": len(coeffs) - 1}  # the undeflated degree
     if len(coeffs) - k > 1:
         try:
-            body.update(isolate_roots(_shift_down(coeffs, k)).to_json())
+            exact, intervals = isolate_roots(_shift_down(coeffs, k))
         except NotSquarefreeError:
             pass
-    body["degree"] = len(coeffs) - 1  # the undeflated degree
+        else:
+            body["real_roots"] = len(exact) + len(intervals)
+            body["exact_roots"] = [str(x) for x in exact]
+            body["intervals"] = [[str(lo), str(hi)] for lo, hi in intervals]
     body["zero_root_multiplicity"] = k
     body["coefficients"] = coeffs
-    body["negative_distinct"] = verify_negative_distinct(poly).to_json()
+    body["negative_distinct"] = verify_negative_distinct(poly)
     body["log_concave"] = is_log_concave(coeffs)
     body["unimodal"] = is_unimodal(coeffs)
     return body

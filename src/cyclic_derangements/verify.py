@@ -12,7 +12,6 @@ test suite re-runs the expensive cases at larger sizes.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 
 from . import counting, roots
@@ -35,24 +34,15 @@ from .stats import (
 from .wreath import SignedLetter, enumerate_group, group_order
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named verification with its exact outcome."""
-
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
-    params: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "params": self.params,
-        }
+def _check(suite, name, passed, detail, params):
+    """One named verification with its exact outcome, as its JSON dict."""
+    return {
+        "suite": suite,
+        "name": name,
+        "passed": passed,
+        "detail": detail,
+        "params": params,
+    }
 
 
 def _agree(suite, name, params, pairs):
@@ -67,7 +57,7 @@ def _agree(suite, name, params, pairs):
         detail = f"{', '.join(mismatched)} disagree with {labels[0]}"
     else:
         detail = f"{', '.join(labels)} agree"
-    return Check(suite, name, not mismatched, detail, params)
+    return _check(suite, name, not mismatched, detail, params)
 
 
 # -- counts ----------------------------------------------------------------------
@@ -126,15 +116,15 @@ def suite_counts():
                 )
             )
     discrepancies = counting.reference_discrepancies()
-    expected = [counting.Discrepancy(3, 2, 12, 13)]
+    expected = [{"r": 3, "n": 2, "reference": 12, "computed": 13}]
     checks.append(
-        Check(
+        _check(
             "counts",
             "reference-table",
             discrepancies == expected,
             "published table matches except the documented (r=3, n=2) cell: "
             "reference 12, every computed route 13",
-            {"discrepancies": [d.to_json() for d in discrepancies]},
+            {"discrepancies": discrepancies},
         )
     )
     return checks
@@ -229,7 +219,7 @@ def suite_bijections():
         for n in range(n_max + 1):
             passed, detail = _fiber_check(r, n)
             checks.append(
-                Check(
+                _check(
                     "bijections",
                     "fiber-statistics",
                     passed,
@@ -354,7 +344,7 @@ def suite_eulerian():
                 and poly.coefficient(0) == (r - 1) ** n
             )
             checks.append(
-                Check(
+                _check(
                     "eulerian",
                     "degree-leading-constant",
                     shape_ok,
@@ -366,7 +356,7 @@ def suite_eulerian():
     for n in range(1, 6):
         poly = counting.eulerian_from_exc(2, n)
         checks.append(
-            Check(
+            _check(
                 "eulerian",
                 "self-reciprocal-r2",
                 reciprocal_check(poly, n),
@@ -377,7 +367,7 @@ def suite_eulerian():
     for n in range(1, 7):
         poly = counting.eulerian_from_exc(1, n)
         checks.append(
-            Check(
+            _check(
                 "eulerian",
                 "palindromic-r1",
                 is_palindromic(poly),
@@ -387,7 +377,7 @@ def suite_eulerian():
         )
     skewed = counting.eulerian_from_exc(3, 1)
     checks.append(
-        Check(
+        _check(
             "eulerian",
             "asymmetry-r3",
             not is_palindromic(skewed),
@@ -402,13 +392,13 @@ def suite_eulerian():
 
 
 def _collapse(suite, name, params, lines):
-    failing = [line for line in lines if not line.passed]
+    failing = [line for line in lines if not line["passed"]]
     if failing:
         first = failing[0]
-        detail = f"{first.label}: expected {first.expected}, got {first.actual}"
+        detail = f"{first['label']}: expected {first['expected']}, got {first['actual']}"
     else:
         detail = f"all {len(lines)} coefficients match"
-    return Check(suite, name, not failing, detail, params)
+    return _check(suite, name, not failing, detail, params)
 
 
 def suite_egf():
@@ -431,7 +421,7 @@ def suite_egf():
 
     outcome = (not alternate_matches(1), alternate_matches(2), not alternate_matches(3))
     checks.append(
-        Check(
+        _check(
             "egf",
             "alternate-numerator-only-matches-r2",
             all(outcome),
@@ -462,11 +452,11 @@ def suite_roots():
             poly = counting.exc_derangement_poly(r, n)
             report = roots.verify_negative_distinct(poly)
             checks.append(
-                Check(
+                _check(
                     "roots",
                     "derangement-negative-distinct",
-                    report.passed,
-                    report.detail,
+                    report["passed"],
+                    report["detail"],
                     {"r": r, "n": n},
                 )
             )
@@ -474,11 +464,11 @@ def suite_roots():
             poly = counting.eulerian_from_exc(r, n)
             report = roots.verify_negative_distinct(poly)
             checks.append(
-                Check(
+                _check(
                     "roots",
                     "eulerian-negative-distinct",
-                    report.passed,
-                    report.detail,
+                    report["passed"],
+                    report["detail"],
                     {"r": r, "n": n},
                 )
             )
@@ -489,18 +479,18 @@ def suite_roots():
                 counting.exc_derangement_poly(r, n + 1),
             )
             checks.append(
-                Check(
+                _check(
                     "roots",
                     "consecutive-interlacing",
-                    report.passed,
-                    f"{report.verdict}: {report.detail}",
+                    report["verdict"] == "pass",
+                    f"{report['verdict']}: {report['detail']}",
                     {"r": r, "n": n},
                 )
             )
         for n in range(2, 9):
             coeffs = counting.exc_derangement_poly(r, n).q_coefficient_list()
             checks.append(
-                Check(
+                _check(
                     "roots",
                     "coefficients-log-concave-unimodal",
                     roots.is_log_concave(coeffs) and roots.is_unimodal(coeffs),
@@ -535,7 +525,7 @@ def run_suites(names=None):
 
 
 def report_json(checks):
-    failed = [c for c in checks if not c.passed]
+    failed = [c for c in checks if not c["passed"]]
     return {
         "schema": 1,
         "summary": {
@@ -543,5 +533,5 @@ def report_json(checks):
             "passed": len(checks) - len(failed),
             "failed": len(failed),
         },
-        "checks": [c.to_json() for c in checks],
+        "checks": checks,
     }

@@ -99,7 +99,9 @@ def test_criterion_01_published_count_table():
         problems.append(f"routes disagree at (3,2): {routes}")
     if REFERENCE_COUNTS[3][2] != 12:
         problems.append("embedded published value at (3,2) should be 12")
-    reported = [(d.r, d.n, d.reference, d.computed) for d in reference_discrepancies()]
+    reported = [
+        (d["r"], d["n"], d["reference"], d["computed"]) for d in reference_discrepancies()
+    ]
     if reported != [(3, 2, 12, 13)]:
         problems.append(f"discrepancy report is {reported}")
     elapsed = perf_counter() - start
@@ -352,9 +354,9 @@ def test_criterion_08_exponential_generating_functions():
             + egf_check_exc_derangements(r, 7)
         ):
             lines += 1
-            if not line.passed:
+            if not line["passed"]:
                 problems.append(
-                    f"{line.label}: expected {line.expected}, got {line.actual}"
+                    f"{line['label']}: expected {line['expected']}, got {line['actual']}"
                 )
     conclude(
         8,
@@ -371,14 +373,14 @@ def test_criterion_09_real_roots_interlacing_and_shape():
         family = {n: exc_derangement_poly(r, n) for n in range(2, 9)}
         for n, poly in family.items():
             report = verify_negative_distinct(poly)
-            if not report.passed:
-                problems.append(f"({r},{n}) negativity: {report.detail}")
-            if report.degree != n - 1:
-                problems.append(f"({r},{n}) degree {report.degree} != {n - 1}")
+            if not report["passed"]:
+                problems.append(f"({r},{n}) negativity: {report['detail']}")
+            if report["degree"] != n - 1:
+                problems.append(f"({r},{n}) degree {report['degree']} != {n - 1}")
             expected_zero = 1 if r == 1 else 0
-            if report.zero_multiplicity != expected_zero:
+            if report["zero_root_multiplicity"] != expected_zero:
                 problems.append(
-                    f"({r},{n}) zero-root multiplicity {report.zero_multiplicity}"
+                    f"({r},{n}) zero-root multiplicity {report['zero_root_multiplicity']}"
                 )
             coeffs = poly.q_coefficient_list()
             if not is_log_concave(coeffs):
@@ -387,8 +389,8 @@ def test_criterion_09_real_roots_interlacing_and_shape():
                 problems.append(f"({r},{n}) coefficients not unimodal")
         for n in range(2, 8):
             report = verify_interlacing(family[n], family[n + 1])
-            if not report.passed:
-                problems.append(f"({r},{n})->({r},{n+1}): {report.detail}")
+            if report["verdict"] != "pass":
+                problems.append(f"({r},{n})->({r},{n+1}): {report['detail']}")
     elapsed = perf_counter() - start
     if elapsed >= 30.0:
         problems.append(f"took {elapsed:.1f}s, budget is 30s")
@@ -433,8 +435,8 @@ def test_criterion_11_limiting_probability_bound():
     for r in range(1, 6):
         for n in range(9):
             line = probability_gap_certificate(r, n)
-            if not line.passed:
-                problems.append(f"({r},{n}) gap {line.actual} not {line.expected}")
+            if not line["passed"]:
+                problems.append(f"({r},{n}) gap {line['actual']} not {line['expected']}")
     conclude(
         11,
         problems,

@@ -15,7 +15,6 @@ import pytest
 
 from cyclic_derangements import cli, counting, verify
 from cyclic_derangements.polynomials import BivariatePolynomial
-from cyclic_derangements.verify import Check
 from cyclic_derangements.wreath import enumerate_group
 
 
@@ -203,7 +202,15 @@ def test_verify_pretty_summary_line(capsys):
 
 def test_verify_failure_sets_exit_code(capsys, monkeypatch):
     def fake(names=None):
-        return [Check("fake", "always-red", False, detail="boom")]
+        return [
+            {
+                "suite": "fake",
+                "name": "always-red",
+                "passed": False,
+                "detail": "boom",
+                "params": {},
+            }
+        ]
 
     monkeypatch.setattr(verify, "run_suites", fake)
     code, out, _ = run(capsys, "verify")
@@ -220,7 +227,9 @@ def test_verify_rejects_unknown_suite(capsys):
 
 def test_verify_suite_all_anywhere_and_repeats_run_each_suite_once(capsys, monkeypatch):
     def fake(name):
-        return lambda: [Check(name, "green", True)]
+        return lambda: [
+            {"suite": name, "name": "green", "passed": True, "detail": "", "params": {}}
+        ]
 
     monkeypatch.setattr(
         verify, "SUITES", {name: fake(name) for name in ("counts", "qt", "egf")}
@@ -326,6 +335,15 @@ def test_dump_single_element(capsys):
     assert (doc["maj"], doc["des"], doc["sgn"], doc["exc"], doc["sub"]) == (
         0, 1, 1, 1, 2,
     )
+
+
+def test_dump_single_element_checks_a_given_size(capsys):
+    code, out, err = run(capsys, "dump", "--r", "2", "--element", "1,2", "--n", "3")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--n is 3" in err
+    code, sized, _ = run(capsys, "dump", "--r", "2", "--element", "2^1,1", "--n", "2")
+    assert code == 0
+    assert sized == run(capsys, "dump", "--r", "2", "--element", "2^1,1")[1]
 
 
 def test_dump_enumerates_jsonl(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclic_derangements import counting
+from cyclic_derangements import counting, verify
 from cyclic_derangements.counting import (
     COUNT_METHODS,
     REFERENCE_COUNTS,
@@ -111,7 +111,7 @@ def test_reference_discrepancy_is_exactly_one_cell():
     found = reference_discrepancies()
     assert len(found) == 1
     d = found[0]
-    assert (d.r, d.n, d.reference, d.computed) == (3, 2, 12, 13)
+    assert (d["r"], d["n"], d["reference"], d["computed"]) == (3, 2, 12, 13)
 
 
 # -- q,t refinements -------------------------------------------------------------------
@@ -212,9 +212,9 @@ def test_derangement_egf_series():
 
 def test_egf_checks_all_pass():
     for r in (1, 2, 3):
-        assert all(line.passed for line in egf_check_derangements(r, 7))
-        assert all(line.passed for line in egf_check_eulerian(r, 5))
-        assert all(line.passed for line in egf_check_exc_derangements(r, 5))
+        assert all(line["passed"] for line in egf_check_derangements(r, 7))
+        assert all(line["passed"] for line in egf_check_eulerian(r, 5))
+        assert all(line["passed"] for line in egf_check_exc_derangements(r, 5))
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -224,12 +224,37 @@ def test_q_egf_checks_pass_at_the_benchmark_order(r):
     for check in (egf_check_eulerian, egf_check_exc_derangements):
         lines = check(r, order)
         assert len(lines) == order + 1
-        assert all(line.passed for line in lines), [l.label for l in lines if not l.passed]
+        assert all(line["passed"] for line in lines), [
+            line["label"] for line in lines if not line["passed"]
+        ]
 
 
 def test_checkline_json_shape():
     line = egf_check_derangements(2, 2)[0]
-    assert line.to_json() == {"label": "derangement-egf r=2 n=0", "passed": True}
+    assert line == {"label": "derangement-egf r=2 n=0", "passed": True}
+
+
+def test_a_failing_check_line_carries_and_reports_both_values():
+    q = BivariatePolynomial.q()
+    # a passing line is not rendered: text() of the int 1 would raise
+    lines = counting._check_lines("toy", [1, q], [1, 1 + q], BivariatePolynomial.text)
+    assert lines == [
+        {"label": "toy n=0", "passed": True},
+        {
+            "label": "toy n=1",
+            "passed": False,
+            "expected": "q",
+            "actual": "1 + q",
+        },
+    ]
+    check = verify._collapse("egf", "toy-egf", {"r": 1}, lines)
+    assert check == {
+        "suite": "egf",
+        "name": "toy-egf",
+        "passed": False,
+        "detail": "toy n=1: expected q, got 1 + q",
+        "params": {"r": 1},
+    }
 
 
 def test_alternate_eulerian_egf_is_a_negative_control():
@@ -252,11 +277,11 @@ def test_probability_certificates():
     for r in range(1, 6):
         for n in range(9):
             line = probability_gap_certificate(r, n)
-            assert line.passed, (r, n, line)
+            assert line["passed"], (r, n, line)
 
 
 def test_probability_certificate_reports_a_small_margin():
     # the measured gap should already be within the first omitted-term bound
     honest = probability_gap_certificate(2, 6)
-    assert honest.passed
-    assert Fraction(honest.actual) < Fraction(2, 2**7 * 5040)
+    assert honest["passed"]
+    assert Fraction(honest["actual"]) < Fraction(2, 2**7 * 5040)

@@ -197,26 +197,26 @@ def test_cauchy_bound_encloses_roots():
 
 
 def test_isolation_recovers_rational_roots_exactly():
-    isolation = isolate_roots(CUBIC)
-    assert isolation.exact_roots == (-5, -2, 1)
-    assert isolation.intervals == ()
-    assert isolation.real_root_count == 3
-    assert isolate_roots(poly(-1, 2)).exact_roots == (Fraction(1, 2),)
+    exact, intervals = isolate_roots(CUBIC)
+    assert exact == (-5, -2, 1)
+    assert intervals == ()
+    assert len(exact) + len(intervals) == 3
+    assert isolate_roots(poly(-1, 2))[0] == (Fraction(1, 2),)
 
 
 def test_isolation_boxes_irrational_roots():
     p = poly(-6, -2, 3, 1)  # (x^2 - 2)(x + 3)
-    isolation = isolate_roots(p)
-    assert isolation.exact_roots == (-3,)
-    assert len(isolation.intervals) == 2
-    for lo, hi in isolation.intervals:
+    exact, intervals = isolate_roots(p)
+    assert exact == (-3,)
+    assert len(intervals) == 2
+    for lo, hi in intervals:
         assert hi - lo <= DEFAULT_TOLERANCE
         assert p.evaluate(lo) * p.evaluate(hi) < 0
 
 
 def test_isolation_honors_custom_tolerance():
-    isolation = isolate_roots(poly(-2, 0, 1), tolerance=Fraction(1, 8))  # x^2 - 2
-    assert all(hi - lo <= Fraction(1, 8) for lo, hi in isolation.intervals)
+    _, intervals = isolate_roots(poly(-2, 0, 1), tolerance=Fraction(1, 8))  # x^2 - 2
+    assert all(hi - lo <= Fraction(1, 8) for lo, hi in intervals)
     with pytest.raises(NotSquarefreeError):
         isolate_roots(poly(1, 2, 1))
 
@@ -244,7 +244,7 @@ def test_deflating_a_non_root_raises(monkeypatch):
     # and its candidate is 1, which no bisection point 3 j / 2^k equals;
     # the box test misreads 1 as a root: deflation must refuse it
     real_sign_at = roots._sign_at
-    assert isolate_roots(poly(-2, 0, 1), tolerance=1).intervals[1] == (
+    assert isolate_roots(poly(-2, 0, 1), tolerance=1)[1][1] == (
         Fraction(3, 4), Fraction(3, 2)
     )
     monkeypatch.setattr(
@@ -267,9 +267,9 @@ def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
 
 def test_isolation_recovers_rational_roots_from_boxes_at_any_coefficient_size():
     # coefficients past 10^16, and bisection lands on neither rational root
-    isolation = isolate_roots(poly(5, 7) * poly(3, 1) * poly(-2, 0, 10**16))
-    assert isolation.exact_roots == (-3, Fraction(-5, 7))
-    assert len(isolation.intervals) == 2
+    exact, intervals = isolate_roots(poly(5, 7) * poly(3, 1) * poly(-2, 0, 10**16))
+    assert exact == (-3, Fraction(-5, 7))
+    assert len(intervals) == 2
 
 
 def test_isolation_ignores_a_box_candidate_that_is_another_root():
@@ -277,9 +277,9 @@ def test_isolation_ignores_a_box_candidate_that_is_another_root():
     # has the candidate floor(hi) = 1 left of it, which is the root 1 and
     # must not be deflated twice
     y = poly(-1, 1)
-    isolation = isolate_roots(y * (y * y + 10 * y - 1))
-    assert isolation.exact_roots == (1,)
-    assert len(isolation.intervals) == 2
+    exact, intervals = isolate_roots(y * (y * y + 10 * y - 1))
+    assert exact == (1,)
+    assert len(intervals) == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -297,13 +297,14 @@ def test_isolation_recovers_every_rational_root_of_large_products(linears, big):
     product = poly(-2, 0, big)
     for p, q in linears:
         product = product * poly(q, p)
-    isolation = isolate_roots(product)
-    assert list(isolation.exact_roots) == rational
-    assert len(isolation.intervals) == 2
+    exact, intervals = isolate_roots(product)
+    assert list(exact) == rational
+    assert len(intervals) == 2
 
 
 def test_isolation_json_shape():
-    out = isolate_roots(poly(-1, 2)).to_json()
+    body = roots_report(poly(-1, 2))
+    out = {k: body[k] for k in ("degree", "real_roots", "exact_roots", "intervals")}
     assert out == {
         "degree": 1,
         "real_roots": 1,
@@ -316,9 +317,9 @@ def test_isolation_json_shape():
 @given(st.sets(st.integers(1, 40), min_size=1, max_size=4))
 def test_isolation_separates_all_roots(magnitudes):
     roots = sorted(-m for m in magnitudes)
-    isolation = isolate_roots(linear_product(roots))
-    assert sorted(isolation.exact_roots) == roots
-    assert isolation.intervals == ()
+    exact, intervals = isolate_roots(linear_product(roots))
+    assert sorted(exact) == roots
+    assert intervals == ()
 
 
 # -- negativity certificates ---------------------------------------------------------
@@ -326,34 +327,38 @@ def test_isolation_separates_all_roots(magnitudes):
 
 def test_negativity_passes_on_negative_distinct():
     report = verify_negative_distinct(poly(3, 4, 1))  # (x + 1)(x + 3)
-    assert report.passed
-    assert (report.degree, report.zero_multiplicity, report.negative_roots) == (2, 0, 2)
+    assert report["passed"]
+    counts = report["degree"], report["zero_root_multiplicity"], report["negative_roots"]
+    assert counts == (2, 0, 2)
 
 
 def test_negativity_tolerates_one_zero_root():
     p = poly(0, 3, 4, 1)  # x (x + 1)(x + 3)
     report = verify_negative_distinct(p)
-    assert report.passed
-    assert report.zero_multiplicity == 1
-    assert report.negative_roots == 2
+    assert report["passed"]
+    assert report["zero_root_multiplicity"] == 1
+    assert report["negative_roots"] == 2
     strict = verify_negative_distinct(p, allow_zero_root=False)
-    assert not strict.passed
-    assert "multiplicity 1" in strict.detail
+    assert not strict["passed"]
+    assert "multiplicity 1" in strict["detail"]
 
 
 def test_negativity_failure_modes():
     positive = verify_negative_distinct(poly(-1, 1))  # root at +1
-    assert not positive.passed and positive.negative_roots == 0
+    assert not positive["passed"] and positive["negative_roots"] == 0
     repeated = verify_negative_distinct(poly(1, 2, 1))
-    assert not repeated.passed and "repeated root" in repeated.detail
+    assert not repeated["passed"] and "repeated root" in repeated["detail"]
     double_zero = verify_negative_distinct(poly(0, 0, 1, 1))  # x^2 (x + 1)
-    assert not double_zero.passed and "multiplicity 2" in double_zero.detail
+    assert not double_zero["passed"] and "multiplicity 2" in double_zero["detail"]
     nothing = verify_negative_distinct(poly())
-    assert not nothing.passed and nothing.degree == -1
+    assert not nothing["passed"] and nothing["degree"] == -1
 
 
 def test_negativity_json_shape():
-    out = verify_negative_distinct(poly(3, 4, 1)).to_json()
+    out = verify_negative_distinct(poly(3, 4, 1))
+    assert set(out) == {
+        "passed", "detail", "degree", "zero_root_multiplicity", "negative_roots"
+    }
     assert out["passed"] is True
     assert out["degree"] == 2
     assert out["zero_root_multiplicity"] == 0
@@ -365,9 +370,9 @@ def test_negativity_json_shape():
 def test_negativity_certifies_constructed_products(magnitudes, with_zero):
     roots = [-m for m in magnitudes] + ([0] if with_zero else [])
     report = verify_negative_distinct(linear_product(roots))
-    assert report.passed
-    assert report.zero_multiplicity == int(with_zero)
-    assert report.negative_roots == len(magnitudes)
+    assert report["passed"]
+    assert report["zero_root_multiplicity"] == int(with_zero)
+    assert report["negative_roots"] == len(magnitudes)
 
 
 # -- interlacing certificates --------------------------------------------------------
@@ -375,32 +380,32 @@ def test_negativity_certifies_constructed_products(magnitudes, with_zero):
 
 def test_interlacing_pass():
     report = verify_interlacing(poly(2, 1), poly(3, 4, 1))
-    assert report.passed
-    assert report.pattern == "LsL"
-    assert report.to_json()["verdict"] == "pass"
+    assert report["verdict"] == "pass"
+    assert report["pattern"] == "LsL"
+    assert report == {"verdict": "pass", "detail": "roots alternate strictly", "pattern": "LsL"}
 
 
 def test_interlacing_with_matching_zero_roots():
     smaller = poly(0, 2, 1)  # x (x + 2)
     larger = poly(0, 3, 4, 1)  # x (x + 1)(x + 3)
     report = verify_interlacing(smaller, larger)
-    assert report.passed and report.pattern == "LsL"
+    assert report["verdict"] == "pass" and report["pattern"] == "LsL"
 
 
 def test_interlacing_degree_zero_base_case():
     report = verify_interlacing(poly(1), poly(1, 1))
-    assert report.passed and report.pattern == "L"
+    assert report["verdict"] == "pass" and report["pattern"] == "L"
 
 
 def test_interlacing_failure_modes():
     shared = verify_interlacing(poly(1, 1), poly(2, 3, 1))
-    assert not shared.passed and "share" in shared.detail
+    assert shared["verdict"] == "fail" and "share" in shared["detail"]
     step = verify_interlacing(poly(1, 1), poly(-10, 3, 6, 1))
-    assert not step.passed and "degree step" in step.detail
+    assert step["verdict"] == "fail" and "degree step" in step["detail"]
     zeros = verify_interlacing(poly(0, 1), poly(2, 3, 1))
-    assert not zeros.passed and "zero-root" in zeros.detail
+    assert zeros["verdict"] == "fail" and "zero-root" in zeros["detail"]
     outside = verify_interlacing(poly(5, 1), poly(2, 3, 1))
-    assert not outside.passed and outside.pattern == "sLL"
+    assert outside["verdict"] == "fail" and outside["pattern"] == "sLL"
 
 
 @settings(max_examples=20)
@@ -409,14 +414,14 @@ def test_interlacing_certifies_constructed_alternation(a, b, c):
     # roots -(a), -(a+b), -(a+b+c): smaller takes the middle one
     lo, mid, hi = -(a + b + c), -(a + b), -a
     report = verify_interlacing(linear_product([mid]), linear_product([lo, hi]))
-    assert report.passed, report.detail
+    assert report["verdict"] == "pass", report["detail"]
 
 
 def test_exc_family_interlaces():
     report = verify_interlacing(
         exc_derangement_poly(2, 4), exc_derangement_poly(2, 5)
     )
-    assert report.passed, report.detail
+    assert report["verdict"] == "pass", report["detail"]
 
 
 def test_interlacing_isolates_only_the_smaller_polynomial(monkeypatch):
@@ -426,7 +431,7 @@ def test_interlacing_isolates_only_the_smaller_polynomial(monkeypatch):
         roots, "_isolate", lambda p, *rest: calls.append(p) or real_isolate(p, *rest)
     )
     smaller, larger = exc_derangement_poly(3, 6), exc_derangement_poly(3, 7)
-    assert verify_interlacing(smaller, larger).passed
+    assert verify_interlacing(smaller, larger)["verdict"] == "pass"
     assert calls == [smaller.q_coefficient_list()]
 
 
@@ -434,13 +439,13 @@ def test_interlacing_across_boxes_that_share_an_endpoint():
     # K^2 (x + 3)^2 - 2 has roots -3 -+ sqrt(2)/K, closer than two box widths
     K = 2**42
     smaller = poly(9 * K * K - 2, 6 * K * K, K * K)
-    (_, left_hi), (right_lo, _) = isolate_roots(smaller).intervals
+    (_, left_hi), (right_lo, _) = isolate_roots(smaller)[1]
     assert left_hi == right_lo
     report = verify_interlacing(smaller, linear_product([-10, -1, -2]))
-    assert report.verdict == "fail" and report.pattern == "LssLL"
+    assert report["verdict"] == "fail" and report["pattern"] == "LssLL"
     # a root of larger at -3, between the two roots of smaller
     report = verify_interlacing(smaller, poly(10, 1) * poly(3 * K, K) * poly(1, 1))
-    assert report.verdict == "pass" and report.pattern == "LsLsL"
+    assert report["verdict"] == "pass" and report["pattern"] == "LsLsL"
 
 
 def test_interlacing_halves_a_box_holding_a_root_of_larger():
@@ -452,12 +457,12 @@ def test_interlacing_halves_a_box_holding_a_root_of_larger():
     assert 0 < Fraction(P, Q) ** 2 - 2 < Fraction(1, 10**19)
     smaller = poly(2, 4, 1)
     near = Fraction(P - 2 * Q, Q)
-    assert any(lo < near <= hi for lo, hi in isolate_roots(smaller).intervals)
+    assert any(lo < near <= hi for lo, hi in isolate_roots(smaller)[1])
     factor = poly(2 * Q - P, Q)
     report = verify_interlacing(smaller, factor * poly(1, 1) * poly(5, 1))
-    assert report.verdict == "pass" and report.pattern == "LsLsL"
+    assert report["verdict"] == "pass" and report["pattern"] == "LsLsL"
     report = verify_interlacing(smaller, factor * poly(4, 1) * poly(5, 1))
-    assert report.verdict == "fail" and report.pattern == "LLssL"
+    assert report["verdict"] == "fail" and report["pattern"] == "LLssL"
 
 
 def test_interlacing_with_an_exact_root_inside_a_box():
@@ -466,17 +471,17 @@ def test_interlacing_with_an_exact_root_inside_a_box():
     # of -1 - sqrt(2)/K, with K = 2^43 the box of -1 + sqrt(2)/K.
     for K, side in ((2**42, -1), (2**43, 1)):
         smaller = poly(1, 1) * poly(K * K - 2, 2 * K * K, K * K)
-        isolation = isolate_roots(smaller)
-        assert isolation.exact_roots == (-1,)
-        (lo, hi), = [(lo, hi) for lo, hi in isolation.intervals if lo < -1 < hi]
+        exact, intervals = isolate_roots(smaller)
+        assert exact == (-1,)
+        (lo, hi), = [(lo, hi) for lo, hi in intervals if lo < -1 < hi]
         assert side * (lo + hi + 2) > 0  # the box leans to the side of its root
         # larger has roots -1 -+ 1/K, one on each side of -1; halving the box
         # pushes its end past the one between -1 and the box's root
         near = poly(K + 1, K) * poly(1, 2) * poly(10, 1)
         report = verify_interlacing(smaller, near * poly(K - 1, K))
-        assert report.verdict == "pass" and report.pattern == "LsLsLsL"
+        assert report["verdict"] == "pass" and report["pattern"] == "LsLsLsL"
         report = verify_interlacing(smaller, near * poly(3, 1))
-        assert report.verdict == "fail" and report.pattern == "LLsLssL"
+        assert report["verdict"] == "fail" and report["pattern"] == "LLsLssL"
 
 
 # Roots a + b sqrt(2) as integer pairs (a, b): an integer root m is (m, 0)
@@ -542,9 +547,9 @@ def test_interlacing_pattern_matches_exact_root_order(case):
     tagged.sort(key=cmp_to_key(lambda u, v: _sign_of_surd(u[0] - v[0], u[1] - v[1])))
     expected = "".join(owner for _, _, owner in tagged)
     report = verify_interlacing(_product(smaller), _product(larger))
-    assert report.pattern == expected
+    assert report["pattern"] == expected
     alternating = "L" + "sL" * (len(expected) // 2)
-    assert report.verdict == ("pass" if expected == alternating else "fail")
+    assert report["verdict"] == ("pass" if expected == alternating else "fail")
 
 
 # -- coefficient shape ------------------------------------------------------------
