@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import counting, roots, verify
-from .stats import ranked_record, stat_record
+from .stats import dump_lines, stat_record
 from .wreath import (
     STANDARD,
     EnumerationBoundError,
@@ -239,20 +239,19 @@ def cmd_roots(args):
 # -- dump ---------------------------------------------------------------------
 
 
-def _element_record(sigma, record, order_name):
-    record["element"] = to_text(sigma)
-    record["derangement"] = is_derangement(sigma)
-    record["order"] = order_name
-    return record
-
-
 def cmd_dump(args):
     order = OrderVariant(args.order)
     if args.element is not None:
+        if args.derangements_only or args.bound is not None:
+            flag = "--derangements-only" if args.derangements_only else "--bound"
+            raise ValueError(f"{flag} applies only to enumeration")
         sigma = parse(args.element, args.r)
         if args.n is not None and args.n != sigma.size:
             raise ValueError(f"--element has {sigma.size} letters but --n is {args.n}")
-        doc = _element_record(sigma, stat_record(sigma, order), args.order)
+        doc = stat_record(sigma, order)
+        doc["element"] = to_text(sigma)
+        doc["derangement"] = is_derangement(sigma)
+        doc["order"] = args.order
         doc["schema"] = SCHEMA
         print(json.dumps(doc, sort_keys=True))
         return 0
@@ -262,9 +261,9 @@ def cmd_dump(args):
     check_enumerable(args.r, args.n, args.bound)
     tables = rank_table(args.r, args.n, order), rank_table(args.r, args.n, STANDARD)
     source = enumerate_derangements if args.derangements_only else enumerate_group
-    for sigma in source(args.r, args.n, args.bound):
-        record = _element_record(sigma, ranked_record(sigma, *tables), args.order)
-        print(json.dumps(record, sort_keys=True))
+    sys.stdout.writelines(
+        dump_lines(source(args.r, args.n, args.bound), *tables, args.order)
+    )
     return 0
 
 
@@ -338,9 +337,18 @@ def build_parser():
         default=None,
         help="analyze a single element given as comma-separated letters 's' or 's^e'",
     )
-    p_dump.add_argument("--derangements-only", action="store_true")
+    p_dump.add_argument(
+        "--derangements-only",
+        action="store_true",
+        help="enumerate only the derangements; refused with --element",
+    )
     p_dump.add_argument("--order", default="standard", choices=("standard", "alternate"))
-    p_dump.add_argument("--bound", type=_bound, default=None, help="enumeration cap")
+    p_dump.add_argument(
+        "--bound",
+        type=_bound,
+        default=None,
+        help="enumeration cap; refused with --element",
+    )
     p_dump.set_defaults(run=cmd_dump)
 
     return parser

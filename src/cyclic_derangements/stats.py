@@ -19,6 +19,7 @@ Conventions:
   fully multiplicative reading.
 """
 
+import json
 from itertools import combinations
 
 from .wreath import (
@@ -170,27 +171,46 @@ def stat_record(sigma, order=STANDARD):
     }
 
 
-def ranked_record(sigma, ranks, standard_ranks):
-    """``stat_record(sigma, order)`` read from integer rank tables in one pass.
+def dump_lines(elements, ranks, standard_ranks, order_name):
+    """The ``dump`` line of each element, read from integer rank tables in one pass.
 
     ``ranks`` is ``wreath.rank_table(r, n, order)`` and ``standard_ranks``
-    is the table of the standard order, in which exc is always read.
+    is the table of the standard order, in which exc is always read.  A
+    line is the JSON object ``stat_record(sigma, order)`` extended by
+    ``element``, ``derangement`` and ``order`` (``order_name``), keys
+    sorted, as ``json.dumps(..., sort_keys=True)`` writes it, with a
+    newline.  Lines are yielded as the elements are drawn, one by one.
     """
-    letters = sigma.letters
     plain = ranks[0]
-    maj = des = sgn = exc = sub = 0
-    before = plain[0]
-    for i, (e, v) in enumerate(letters, 1):
-        place = ranks[e][v]
-        if before > place:
-            des += 1
-            maj += i - 1
-        before = place
-        sgn += e
-        sub += place < plain[i]
-        if v == i:
-            exc += not e
-        else:
-            f, w = letters[v - 1]
-            exc += standard_ranks[f][w] > standard_ranks[e][v]
-    return {"maj": maj, "des": des, "sgn": sgn, "exc": exc, "sub": sub}
+    # letter texts hold digits and carets only, which JSON writes unescaped
+    texts = [
+        [SignedLetter(e, v).text() for v in range(len(plain))]
+        for e in range(len(ranks))
+    ]
+    order = json.dumps(order_name)
+    for sigma in elements:
+        letters = sigma.letters
+        words = []
+        maj = des = sgn = exc = sub = 0
+        deranged = "true"
+        before = plain[0]
+        for i, (e, v) in enumerate(letters, 1):
+            words.append(texts[e][v])
+            place = ranks[e][v]
+            if before > place:
+                des += 1
+                maj += i - 1
+            before = place
+            sgn += e
+            sub += place < plain[i]
+            if v == i:
+                if not e:
+                    exc += 1
+                    deranged = "false"
+            else:
+                f, w = letters[v - 1]
+                exc += standard_ranks[f][w] > standard_ranks[e][v]
+        yield (
+            f'{{"derangement": {deranged}, "des": {des}, "element": "{",".join(words)}", '
+            f'"exc": {exc}, "maj": {maj}, "order": {order}, "sgn": {sgn}, "sub": {sub}}}\n'
+        )

@@ -15,7 +15,8 @@ import pytest
 
 from cyclic_derangements import cli, counting, verify
 from cyclic_derangements.polynomials import BivariatePolynomial
-from cyclic_derangements.wreath import enumerate_group
+from cyclic_derangements.stats import dump_lines
+from cyclic_derangements.wreath import STANDARD, enumerate_group, rank_table
 
 
 def run(capsys, *argv):
@@ -169,8 +170,21 @@ ENUMERATION_GOLDEN_SHA256 = {
 }
 
 
+# sha256 of ``dump`` output at r = 1, for a whole group in the standard
+# order and with exponents up to 4, fixed before dump rendered each line
+# from one template
+DUMP_GOLDEN_SHA256 = {
+    ("dump", "--r", "1", "--n", "6", "--derangements-only", "--order", "alternate"):
+        "a03a6ad8304cf382200115c1b00cf49e515034e4a69103a9f1bac91e389413d4",
+    ("dump", "--r", "4", "--n", "3"):
+        "637254fd1c09ab26f561d87dd9d1f4b8c601003d08122eae6881b9b45004cd07",
+    ("dump", "--r", "5", "--n", "3", "--derangements-only", "--order", "alternate"):
+        "7d78dd1592245208728e510e9dd7c886d9a31e96d121f017f40803576a68ab00",
+}
+
+
 def test_enumeration_and_battery_output_is_byte_identical():
-    for argv, expected in ENUMERATION_GOLDEN_SHA256.items():
+    for argv, expected in {**ENUMERATION_GOLDEN_SHA256, **DUMP_GOLDEN_SHA256}.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(list(argv)) == 0
@@ -346,6 +360,15 @@ def test_dump_single_element_checks_a_given_size(capsys):
     assert sized == run(capsys, "dump", "--r", "2", "--element", "2^1,1")[1]
 
 
+@pytest.mark.parametrize(
+    "flag", [("--derangements-only",), ("--bound", "1")], ids=lambda f: f[0]
+)
+def test_dump_single_element_refuses_enumeration_flags(capsys, flag):
+    code, out, err = run(capsys, "dump", "--r", "2", "--element", "1,2", *flag)
+    assert code == 2
+    assert out == "" and err == f"error: {flag[0]} applies only to enumeration\n"
+
+
 def test_dump_enumerates_jsonl(capsys):
     code, out, _ = run(capsys, "dump", "--r", "2", "--n", "2")
     assert code == 0
@@ -403,17 +426,53 @@ def test_dump_statistics_match_the_closed_forms(capsys, r, n, only):
     assert excs["standard"] == excs["alternate"]
 
 
+def _source_env():
+    """The environment of a child Python that imports the package from its source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_dump_streams_its_lines():
+    # (4,5) prints about 14.6 MB; joined in memory before writing, the
+    # lines raise the peak by about 17 MB
+    script = (
+        "import resource, sys\n"
+        "from cyclic_derangements import cli\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = cli.main(['dump', '--r', '4', '--n', '5'])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, after - before, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=_source_env(),
+        text=True,
+        timeout=300,
+    )
+    exit_code, grown_kb = map(int, proc.stderr.split())
+    assert exit_code == 0
+    assert grown_kb < 8 * 1024  # ru_maxrss is in kB on Linux
+
+
+def test_dump_lines_draw_one_element_per_line():
+    tables = rank_table(2, 3, STANDARD), rank_table(2, 3, STANDARD)
+    elements = iter(list(enumerate_group(2, 3)))
+    lines = dump_lines(elements, *tables, "standard")
+    assert json.loads(next(lines))["element"] == "1,2,3"
+    assert len(list(elements)) == 47
+
+
 # -- error handling ----------------------------------------------------------------
 
 
 def test_dump_into_a_closed_pipe_exits_quietly():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cyclic_derangements.cli", "dump", "--r", "2", "--n", "5"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_source_env(),
     )
     first = json.loads(proc.stdout.readline())
     proc.stdout.close()  # like ``| head -1``; 3840 lines overflow the pipe

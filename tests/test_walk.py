@@ -1,12 +1,15 @@
 """The integer walk against the object route, element by element and tally by tally.
 
-``wreath._statistics_tally`` and ``stats.ranked_record`` read statistics
-from integer rank tables; ``stats.stat_record`` reads them from objects
-with ``compare``.  Every cell with r <= 5 and r^n n! <= 3 * 10^4 is
-checked under both letter orders, for the whole group and for the
+``wreath._statistics_tally`` and ``stats.dump_lines`` (the ``dump``
+line renderer) read statistics from integer rank tables;
+``stats.stat_record`` reads them from objects with ``compare``.  Each
+rendered line is checked byte for byte against ``json.dumps`` of the
+object route's record.  Every cell with r <= 5 and r^n n! <= 3 * 10^4
+is checked under both letter orders, for the whole group and for the
 derangements alone.
 """
 
+import json
 from collections import Counter
 from math import factorial
 
@@ -14,7 +17,7 @@ import pytest
 
 from cyclic_derangements import counting
 from cyclic_derangements.polynomials import BivariatePolynomial
-from cyclic_derangements.stats import ranked_record, stat_record, weak_excedance_count
+from cyclic_derangements.stats import dump_lines, stat_record, weak_excedance_count
 from cyclic_derangements.wreath import (
     ALTERNATE,
     STANDARD,
@@ -27,6 +30,7 @@ from cyclic_derangements.wreath import (
     is_derangement,
     parse,
     rank_table,
+    to_text,
 )
 
 CELLS = [
@@ -42,17 +46,30 @@ CELLS = [
 def test_integer_routes_match_the_object_route(r, n, order):
     tables = rank_table(r, n, order), rank_table(r, n, STANDARD)
     group, deranged = Counter(), Counter()
-    expected_derangements = []
-    for sigma in enumerate_group(r, n):
+    expected_derangements, expected_derangement_lines = [], []
+    lines = dump_lines(enumerate_group(r, n), *tables, order.value)
+    for sigma, line in zip(enumerate_group(r, n), lines, strict=True):
         record = stat_record(sigma, order)
-        assert ranked_record(sigma, *tables) == record, sigma
+        expected = json.dumps(
+            {
+                **record,
+                "element": to_text(sigma),
+                "derangement": is_derangement(sigma),
+                "order": order.value,
+            },
+            sort_keys=True,
+        ) + "\n"
+        assert line == expected, sigma
         statistics = Statistics(record["maj"], record["des"], record["sgn"], record["exc"])
         group[statistics] += 1
         if is_derangement(sigma):
             deranged[statistics] += 1
             expected_derangements.append(sigma)
+            expected_derangement_lines.append(expected)
     # the pruned walk yields the derangements in the order of the group
     assert list(enumerate_derangements(r, n)) == expected_derangements
+    lines = dump_lines(enumerate_derangements(r, n), *tables, order.value)
+    assert list(lines) == expected_derangement_lines
     assert _statistics_tally(r, n, order) == group
     assert _statistics_tally(r, n, order, derangements_only=True) == deranged
 
@@ -87,8 +104,11 @@ def test_exc_is_read_in_the_standard_order_under_the_alternate_order():
     # the case discriminates: read in the alternate order, exc would differ
     assert _exc_read_in(sigma, ALTERNATE) != weak_excedance_count(sigma)
     tables = rank_table(3, 3, ALTERNATE), rank_table(3, 3, STANDARD)
-    assert ranked_record(sigma, *tables)["exc"] == weak_excedance_count(sigma)
-    assert ranked_record(sigma, *tables) == stat_record(sigma, ALTERNATE)
+    [line] = dump_lines([sigma], *tables, ALTERNATE.value)
+    doc = json.loads(line)
+    assert doc["exc"] == weak_excedance_count(sigma)
+    record = stat_record(sigma, ALTERNATE)
+    assert {key: doc[key] for key in record} == record
     by_exc = Counter()
     for s, count in _statistics_tally(3, 3, ALTERNATE).items():
         by_exc[s.exc] += count
