@@ -23,7 +23,6 @@ import sys
 from . import counting, roots, verify
 from .stats import dump_lines, stat_record
 from .wreath import (
-    STANDARD,
     EnumerationBoundError,
     OrderVariant,
     check_enumerable,
@@ -31,7 +30,6 @@ from .wreath import (
     enumerate_group,
     is_derangement,
     parse,
-    rank_table,
     to_text,
 )
 
@@ -257,13 +255,10 @@ def cmd_dump(args):
         return 0
     if args.n is None:
         raise ValueError("dump needs --n (or --element)")
-    # refuse before building the rank tables, whose size grows with r
+    # refuse before dump_lines builds the rank tables, whose size grows with r
     check_enumerable(args.r, args.n, args.bound)
-    tables = rank_table(args.r, args.n, order), rank_table(args.r, args.n, STANDARD)
     source = enumerate_derangements if args.derangements_only else enumerate_group
-    sys.stdout.writelines(
-        dump_lines(source(args.r, args.n, args.bound), *tables, args.order)
-    )
+    sys.stdout.writelines(dump_lines(source(args.r, args.n, args.bound), args.r, args.n, order))
     return 0
 
 
@@ -295,7 +290,9 @@ def build_parser():
         action="store_true",
         help="also diff against the published table embedded in the package",
     )
-    p_table.add_argument("--bound", type=_bound, default=None, help="enumeration cap for brute-force")
+    p_table.add_argument(
+        "--bound", type=_bound, default=None, help="enumeration cap for brute-force"
+    )
     p_table.set_defaults(run=cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one polynomial from the families")

@@ -252,9 +252,6 @@ class BivariatePolynomial:
     def t_degree(self):
         return len(self._c) // self._w - 1 if self._c else -1
 
-    def is_zero(self):
-        return not self._c
-
     def is_t_free(self):
         return len(self._c) == self._w
 
@@ -361,7 +358,7 @@ class BivariatePolynomial:
     def exact_div(self, divisor):
         """Exact division in Z[q,t]; raises InexactDivisionError otherwise."""
         divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self._c:
             return self
@@ -435,7 +432,7 @@ def is_palindromic(poly):
     """
     if not poly.is_t_free():
         raise ValueError("palindromicity applies to t-free polynomials")
-    if poly.is_zero():
+    if not poly:
         return True
     coeffs = poly.q_coefficient_list()
     low = next(i for i, c in enumerate(coeffs) if c)

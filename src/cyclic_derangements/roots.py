@@ -136,12 +136,6 @@ class SturmChain:
     def variations_at(self, x):
         return _variations(_sign_at(p, x) for p in self.chain)
 
-    def variations_neg_infinity(self):
-        return _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in self.chain)
-
-    def variations_pos_infinity(self):
-        return _variations(_sign(p[-1]) for p in self.chain)
-
     def count_roots(self, low, high):
         """Distinct real roots in (low, high]; None means +-infinity.
 
@@ -151,16 +145,15 @@ class SturmChain:
         if low is not None and high is not None and low >= high:
             raise ValueError("empty interval: low must be below high")
         if low is None:
-            va = self.variations_neg_infinity()
+            va = _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in self.chain)
         else:
             if _sign_at(self.chain[0], low) == 0:
                 raise ValueError("left endpoint is a root; nudge it")
             va = self.variations_at(low)
-        vb = (
-            self.variations_pos_infinity()
-            if high is None
-            else self.variations_at(high)
-        )
+        if high is None:
+            vb = _variations(_sign(p[-1]) for p in self.chain)
+        else:
+            vb = self.variations_at(high)
         return va - vb
 
 

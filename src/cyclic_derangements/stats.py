@@ -28,6 +28,7 @@ from .wreath import (
     CyclicPermutation,
     SignedLetter,
     compare,
+    rank_table,
 )
 
 
@@ -171,23 +172,22 @@ def stat_record(sigma, order=STANDARD):
     }
 
 
-def dump_lines(elements, ranks, standard_ranks, order_name):
-    """The ``dump`` line of each element, read from integer rank tables in one pass.
+def dump_lines(elements, r, n, order):
+    """The ``dump`` line of each element of C_r wr S_n, read from integer rank tables.
 
-    ``ranks`` is ``wreath.rank_table(r, n, order)`` and ``standard_ranks``
-    is the table of the standard order, in which exc is always read.  A
-    line is the JSON object ``stat_record(sigma, order)`` extended by
-    ``element``, ``derangement`` and ``order`` (``order_name``), keys
-    sorted, as ``json.dumps(..., sort_keys=True)`` writes it, with a
-    newline.  Lines are yielded as the elements are drawn, one by one.
+    The tables are ``wreath.rank_table`` of ``order`` and of the standard
+    order, in which exc is always read.  A line is the JSON object
+    ``stat_record(sigma, order)`` extended by ``element``, ``derangement``
+    and ``order`` (``order.value``), keys sorted, as
+    ``json.dumps(..., sort_keys=True)`` writes it, with a newline.  Lines
+    are yielded as the elements are drawn, one by one.
     """
+    ranks = rank_table(r, n, order)
+    standard_ranks = rank_table(r, n, STANDARD)
     plain = ranks[0]
     # letter texts hold digits and carets only, which JSON writes unescaped
-    texts = [
-        [SignedLetter(e, v).text() for v in range(len(plain))]
-        for e in range(len(ranks))
-    ]
-    order = json.dumps(order_name)
+    texts = [[SignedLetter(e, v).text() for v in range(n + 1)] for e in range(r)]
+    order_name = json.dumps(order.value)
     for sigma in elements:
         letters = sigma.letters
         words = []
@@ -212,5 +212,5 @@ def dump_lines(elements, ranks, standard_ranks, order_name):
                 exc += standard_ranks[f][w] > standard_ranks[e][v]
         yield (
             f'{{"derangement": {deranged}, "des": {des}, "element": "{",".join(words)}", '
-            f'"exc": {exc}, "maj": {maj}, "order": {order}, "sgn": {sgn}, "sub": {sub}}}\n'
+            f'"exc": {exc}, "maj": {maj}, "order": {order_name}, "sgn": {sgn}, "sub": {sub}}}\n'
         )

@@ -60,61 +60,76 @@ def _agree(suite, name, params, pairs):
     return _check(suite, name, not mismatched, detail, params)
 
 
+def _agreements(suite, cells, *families):
+    """One ``_agree`` check per cell and family, cell by cell.
+
+    A cell is a params dict; a family is ``(name, routes)``, where
+    ``routes(**params)`` returns the (label, value) pairs that must agree.
+    """
+    return [
+        _agree(suite, name, params, routes(**params))
+        for params in cells
+        for name, routes in families
+    ]
+
+
+def _verdicts(suite, cells, *families):
+    """As ``_agreements``, for judges whose ``judge(**params)`` is ``(passed, detail)``."""
+    return [
+        _check(suite, name, *judge(**params), params)
+        for params in cells
+        for name, judge in families
+    ]
+
+
+def _grid(rs, ns):
+    return [{"r": r, "n": n} for r in rs for n in ns]
+
+
+def _enumeration_grid(limit):
+    """Cells for r = 1..5 and every n whose group order is at most ``limit``."""
+    cells = []
+    for r in range(1, 6):
+        n = 0
+        cells.append({"r": r, "n": n})
+        while group_order(r, n + 1) <= limit:
+            n += 1
+            cells.append({"r": r, "n": n})
+    return cells
+
+
 # -- counts ----------------------------------------------------------------------
 
 
-def _enumeration_grid(limit=50_000):
-    grid = []
-    for r in range(1, 6):
-        n = 0
-        while group_order(r, n + 1) <= limit:
-            n += 1
-        grid.append((r, n))
-    return grid
+def _count_routes(r, n):
+    pairs = [
+        ("formula", counting.derangement_count(r, n)),
+        ("two-term", counting.derangement_count_two_term(r, n)),
+        ("one-term", counting.derangement_count_one_term(r, n)),
+    ]
+    if r >= 2:
+        pairs.append(("transform", counting.derangement_count_mixed_transform(r, n)))
+    return pairs
 
 
 def suite_counts():
-    checks = []
-    for r in range(1, 6):
-        for n in range(9):
-            pairs = [
-                ("formula", counting.derangement_count(r, n)),
-                ("two-term", counting.derangement_count_two_term(r, n)),
-                ("one-term", counting.derangement_count_one_term(r, n)),
-            ]
-            if r >= 2:
-                pairs.append(
-                    ("transform", counting.derangement_count_mixed_transform(r, n))
-                )
-            checks.append(
-                _agree("counts", "count-routes", {"r": r, "n": n}, pairs)
-            )
-    for r, n_max in _enumeration_grid():
-        for n in range(n_max + 1):
-            checks.append(
-                _agree(
-                    "counts",
-                    "count-vs-enumeration",
-                    {"r": r, "n": n},
-                    [
-                        ("formula", counting.derangement_count(r, n)),
-                        ("enumerated", counting.derangement_count_enumerated(r, n)),
-                    ],
-                )
-            )
-    for r in range(1, 6):
-        for n in range(7):
-            total = sum(
-                counting.fixed_point_count(r, n, k) for k in range(n + 1)
-            )
-            checks.append(
-                _agree(
-                    "counts",
-                    "fixed-point-partition",
-                    {"r": r, "n": n},
-                    [("group-order", group_order(r, n)), ("sum-over-k", total)],
-                )
-            )
+    checks = _agreements("counts", _grid(range(1, 6), range(9)), ("count-routes", _count_routes))
+    checks += _agreements(
+        "counts",
+        _enumeration_grid(50_000),
+        ("count-vs-enumeration", lambda r, n: [
+            ("formula", counting.derangement_count(r, n)),
+            ("enumerated", counting.derangement_count_enumerated(r, n)),
+        ]),
+    )
+    checks += _agreements(
+        "counts",
+        _grid(range(1, 6), range(7)),
+        ("fixed-point-partition", lambda r, n: [
+            ("group-order", group_order(r, n)),
+            ("sum-over-k", sum(counting.fixed_point_count(r, n, k) for k in range(n + 1))),
+        ]),
+    )
     discrepancies = counting.reference_discrepancies()
     expected = [{"r": 3, "n": 2, "reference": 12, "computed": 13}]
     checks.append(
@@ -134,57 +149,31 @@ def suite_counts():
 
 
 def suite_qt():
-    checks = []
-    for r in range(1, 5):
-        for n in range(7):
-            checks.append(
-                _agree(
-                    "qt",
-                    "qt-routes",
-                    {"r": r, "n": n},
-                    [
-                        ("formula", counting.qt_derangement_formula(r, n)),
-                        ("two-term", counting.qt_derangement_two_term(r, n)),
-                        ("one-term", counting.qt_derangement_one_term(r, n)),
-                    ],
-                )
-            )
-            specialized = counting.qt_derangement_formula(r, n).evaluate(1, 1)
-            checks.append(
-                _agree(
-                    "qt",
-                    "qt-specializes-to-count",
-                    {"r": r, "n": n},
-                    [
-                        ("count", counting.derangement_count(r, n)),
-                        ("qt(1,1)", specialized),
-                    ],
-                )
-            )
-    for r, n_max in _enumeration_grid(20_000):
-        for n in range(n_max + 1):
-            checks.append(
-                _agree(
-                    "qt",
-                    "qt-vs-enumeration",
-                    {"r": r, "n": n},
-                    [
-                        ("formula", counting.qt_derangement_formula(r, n)),
-                        ("enumerated", counting.qt_derangement_bruteforce(r, n)),
-                    ],
-                )
-            )
-            checks.append(
-                _agree(
-                    "qt",
-                    "group-qt-vs-enumeration",
-                    {"r": r, "n": n},
-                    [
-                        ("closed-form", counting.group_qt_closed(r, n)),
-                        ("enumerated", counting.group_qt_bruteforce(r, n)),
-                    ],
-                )
-            )
+    checks = _agreements(
+        "qt",
+        _grid(range(1, 5), range(7)),
+        ("qt-routes", lambda r, n: [
+            ("formula", counting.qt_derangement_formula(r, n)),
+            ("two-term", counting.qt_derangement_two_term(r, n)),
+            ("one-term", counting.qt_derangement_one_term(r, n)),
+        ]),
+        ("qt-specializes-to-count", lambda r, n: [
+            ("count", counting.derangement_count(r, n)),
+            ("qt(1,1)", counting.qt_derangement_formula(r, n).evaluate(1, 1)),
+        ]),
+    )
+    checks += _agreements(
+        "qt",
+        _enumeration_grid(20_000),
+        ("qt-vs-enumeration", lambda r, n: [
+            ("formula", counting.qt_derangement_formula(r, n)),
+            ("enumerated", counting.qt_derangement_bruteforce(r, n)),
+        ]),
+        ("group-qt-vs-enumeration", lambda r, n: [
+            ("closed-form", counting.group_qt_closed(r, n)),
+            ("enumerated", counting.group_qt_bruteforce(r, n)),
+        ]),
+    )
     return checks
 
 
@@ -214,33 +203,18 @@ def _fiber_check(r, n):
 
 
 def suite_bijections():
-    checks = []
-    for r, n_max in ((1, 5), (2, 4), (3, 3)):
-        for n in range(n_max + 1):
-            passed, detail = _fiber_check(r, n)
-            checks.append(
-                _check(
-                    "bijections",
-                    "fiber-statistics",
-                    passed,
-                    detail,
-                    {"r": r, "n": n},
-                )
-            )
-    for r in range(1, 6):
-        for n in range(9):
-            total = sum(
-                comb(n, k) * counting.derangement_count(r, n - k)
-                for k in range(n + 1)
-            )
-            checks.append(
-                _agree(
-                    "bijections",
-                    "fiber-counting-identity",
-                    {"r": r, "n": n},
-                    [("group-order", group_order(r, n)), ("sum-over-fibers", total)],
-                )
-            )
+    fiber_cells = _grid((1,), range(6)) + _grid((2,), range(5)) + _grid((3,), range(4))
+    checks = _verdicts("bijections", fiber_cells, ("fiber-statistics", _fiber_check))
+    checks += _agreements(
+        "bijections",
+        _grid(range(1, 6), range(9)),
+        ("fiber-counting-identity", lambda r, n: [
+            ("group-order", group_order(r, n)),
+            ("sum-over-fibers", sum(
+                comb(n, k) * counting.derangement_count(r, n - k) for k in range(n + 1)
+            )),
+        ]),
+    )
     word_pairs = [
         ((SignedLetter(0, 2), SignedLetter(0, 1)), (SignedLetter(0, 3),)),
         ((SignedLetter(1, 1),), (SignedLetter(0, 2), SignedLetter(0, 3))),
@@ -278,103 +252,65 @@ def suite_bijections():
 # -- eulerian -------------------------------------------------------------------------
 
 
+def _shape(r, n):
+    """Degree n - 1, leading coefficient r^n and constant term (r - 1)^n."""
+    poly = counting.exc_derangement_poly(r, n)
+    passed = (
+        poly.q_degree == n - 1
+        and poly.coefficient(n - 1) == r**n
+        and poly.coefficient(0) == (r - 1) ** n
+    )
+    return passed, (
+        f"degree {poly.q_degree}, leading {poly.coefficient(n - 1)}, "
+        f"constant {poly.coefficient(0)}"
+    )
+
+
 def suite_eulerian():
-    checks = []
-    for r in (1, 2, 3):
-        for n in range(5):
-            checks.append(
-                _agree(
-                    "eulerian",
-                    "descent-excedance-equidistribution",
-                    {"r": r, "n": n},
-                    [
-                        ("excedance-route", counting.eulerian_by_excedances(r, n)),
-                        ("descent-route", counting.eulerian_by_descents(r, n)),
-                        ("convolution", counting.eulerian_from_exc(r, n)),
-                    ],
-                )
-            )
-            checks.append(
-                _agree(
-                    "eulerian",
-                    "derangement-excedance-recurrence",
-                    {"r": r, "n": n},
-                    [
-                        ("recurrence", counting.exc_derangement_poly(r, n)),
-                        ("enumerated", counting.exc_derangement_bruteforce(r, n)),
-                    ],
-                )
-            )
-    for r in range(1, 6):
-        q = BivariatePolynomial.q()
-        anchor2 = r * r * q + (r - 1) ** 2
-        anchor3 = (
-            BivariatePolynomial.monomial(r**3, 2)
-            + (4 * r - 3) * r * r * q
-            + (r - 1) ** 3
-        )
-        checks.append(
-            _agree(
-                "eulerian",
-                "closed-forms-small-n",
-                {"r": r},
-                [
-                    ("recurrence-n2", counting.exc_derangement_poly(r, 2)),
-                    ("literal-n2", anchor2),
-                ],
-            )
-        )
-        checks.append(
-            _agree(
-                "eulerian",
-                "closed-forms-small-n3",
-                {"r": r},
-                [
-                    ("recurrence-n3", counting.exc_derangement_poly(r, 3)),
-                    ("literal-n3", anchor3),
-                ],
-            )
-        )
-    for r in range(1, 5):
-        for n in range(2, 8):
-            poly = counting.exc_derangement_poly(r, n)
-            shape_ok = (
-                poly.q_degree == n - 1
-                and poly.coefficient(n - 1) == r**n
-                and poly.coefficient(0) == (r - 1) ** n
-            )
-            checks.append(
-                _check(
-                    "eulerian",
-                    "degree-leading-constant",
-                    shape_ok,
-                    f"degree {poly.q_degree}, leading {poly.coefficient(n - 1)}, "
-                    f"constant {poly.coefficient(0)}",
-                    {"r": r, "n": n},
-                )
-            )
-    for n in range(1, 6):
-        poly = counting.eulerian_from_exc(2, n)
-        checks.append(
-            _check(
-                "eulerian",
-                "self-reciprocal-r2",
-                reciprocal_check(poly, n),
-                f"q^{n} p(1/q) == p",
-                {"r": 2, "n": n},
-            )
-        )
-    for n in range(1, 7):
-        poly = counting.eulerian_from_exc(1, n)
-        checks.append(
-            _check(
-                "eulerian",
-                "palindromic-r1",
-                is_palindromic(poly),
-                "coefficients symmetric about the support midpoint",
-                {"r": 1, "n": n},
-            )
-        )
+    checks = _agreements(
+        "eulerian",
+        _grid((1, 2, 3), range(5)),
+        ("descent-excedance-equidistribution", lambda r, n: [
+            ("excedance-route", counting.eulerian_by_excedances(r, n)),
+            ("descent-route", counting.eulerian_by_descents(r, n)),
+            ("convolution", counting.eulerian_from_exc(r, n)),
+        ]),
+        ("derangement-excedance-recurrence", lambda r, n: [
+            ("recurrence", counting.exc_derangement_poly(r, n)),
+            ("enumerated", counting.exc_derangement_bruteforce(r, n)),
+        ]),
+    )
+    checks += _agreements(
+        "eulerian",
+        [{"r": r} for r in range(1, 6)],
+        ("closed-forms-small-n", lambda r: [
+            ("recurrence-n2", counting.exc_derangement_poly(r, 2)),
+            ("literal-n2", BivariatePolynomial.monomial(r * r, 1) + (r - 1) ** 2),
+        ]),
+        ("closed-forms-small-n3", lambda r: [
+            ("recurrence-n3", counting.exc_derangement_poly(r, 3)),
+            ("literal-n3", BivariatePolynomial.monomial(r**3, 2)
+             + BivariatePolynomial.monomial((4 * r - 3) * r * r, 1) + (r - 1) ** 3),
+        ]),
+    )
+    checks += _verdicts(
+        "eulerian", _grid(range(1, 5), range(2, 8)), ("degree-leading-constant", _shape)
+    )
+    checks += _verdicts(
+        "eulerian",
+        _grid((2,), range(1, 6)),
+        ("self-reciprocal-r2", lambda r, n: (
+            reciprocal_check(counting.eulerian_from_exc(r, n), n), f"q^{n} p(1/q) == p"
+        )),
+    )
+    checks += _verdicts(
+        "eulerian",
+        _grid((1,), range(1, 7)),
+        ("palindromic-r1", lambda r, n: (
+            is_palindromic(counting.eulerian_from_exc(r, n)),
+            "coefficients symmetric about the support midpoint",
+        )),
+    )
     skewed = counting.eulerian_from_exc(3, 1)
     checks.append(
         _check(
@@ -445,59 +381,49 @@ def suite_egf():
 # -- roots ---------------------------------------------------------------------------------
 
 
+def _negative_distinct(poly):
+    report = roots.verify_negative_distinct(poly)
+    return report["passed"], report["detail"]
+
+
+def _interlacing(r, n):
+    report = roots.verify_interlacing(
+        counting.exc_derangement_poly(r, n), counting.exc_derangement_poly(r, n + 1)
+    )
+    return report["verdict"] == "pass", f"{report['verdict']}: {report['detail']}"
+
+
+def _log_concave(r, n):
+    coeffs = counting.exc_derangement_poly(r, n).q_coefficient_list()
+    return (
+        roots.is_log_concave(coeffs) and roots.is_unimodal(coeffs),
+        "log-concave with contiguous support, hence unimodal",
+    )
+
+
 def suite_roots():
     checks = []
     for r in (1, 2, 3):
-        for n in range(2, 9):
-            poly = counting.exc_derangement_poly(r, n)
-            report = roots.verify_negative_distinct(poly)
-            checks.append(
-                _check(
-                    "roots",
-                    "derangement-negative-distinct",
-                    report["passed"],
-                    report["detail"],
-                    {"r": r, "n": n},
-                )
-            )
-        for n in range(1, 7):
-            poly = counting.eulerian_from_exc(r, n)
-            report = roots.verify_negative_distinct(poly)
-            checks.append(
-                _check(
-                    "roots",
-                    "eulerian-negative-distinct",
-                    report["passed"],
-                    report["detail"],
-                    {"r": r, "n": n},
-                )
-            )
-        start = 2 if r == 1 else 1
-        for n in range(start, 8):
-            report = roots.verify_interlacing(
-                counting.exc_derangement_poly(r, n),
-                counting.exc_derangement_poly(r, n + 1),
-            )
-            checks.append(
-                _check(
-                    "roots",
-                    "consecutive-interlacing",
-                    report["verdict"] == "pass",
-                    f"{report['verdict']}: {report['detail']}",
-                    {"r": r, "n": n},
-                )
-            )
-        for n in range(2, 9):
-            coeffs = counting.exc_derangement_poly(r, n).q_coefficient_list()
-            checks.append(
-                _check(
-                    "roots",
-                    "coefficients-log-concave-unimodal",
-                    roots.is_log_concave(coeffs) and roots.is_unimodal(coeffs),
-                    "log-concave with contiguous support, hence unimodal",
-                    {"r": r, "n": n},
-                )
-            )
+        checks += _verdicts(
+            "roots",
+            _grid((r,), range(2, 9)),
+            ("derangement-negative-distinct",
+             lambda r, n: _negative_distinct(counting.exc_derangement_poly(r, n))),
+        )
+        checks += _verdicts(
+            "roots",
+            _grid((r,), range(1, 7)),
+            ("eulerian-negative-distinct",
+             lambda r, n: _negative_distinct(counting.eulerian_from_exc(r, n))),
+        )
+        checks += _verdicts(
+            "roots",
+            _grid((r,), range(2 if r == 1 else 1, 8)),
+            ("consecutive-interlacing", _interlacing),
+        )
+        checks += _verdicts(
+            "roots", _grid((r,), range(2, 9)), ("coefficients-log-concave-unimodal", _log_concave)
+        )
     return checks
 
 

@@ -44,10 +44,9 @@ CELLS = [
 @pytest.mark.parametrize("order", [STANDARD, ALTERNATE], ids=lambda o: o.value)
 @pytest.mark.parametrize("r, n", CELLS)
 def test_integer_routes_match_the_object_route(r, n, order):
-    tables = rank_table(r, n, order), rank_table(r, n, STANDARD)
     group, deranged = Counter(), Counter()
     expected_derangements, expected_derangement_lines = [], []
-    lines = dump_lines(enumerate_group(r, n), *tables, order.value)
+    lines = dump_lines(enumerate_group(r, n), r, n, order)
     for sigma, line in zip(enumerate_group(r, n), lines, strict=True):
         record = stat_record(sigma, order)
         expected = json.dumps(
@@ -68,7 +67,7 @@ def test_integer_routes_match_the_object_route(r, n, order):
             expected_derangement_lines.append(expected)
     # the pruned walk yields the derangements in the order of the group
     assert list(enumerate_derangements(r, n)) == expected_derangements
-    lines = dump_lines(enumerate_derangements(r, n), *tables, order.value)
+    lines = dump_lines(enumerate_derangements(r, n), r, n, order)
     assert list(lines) == expected_derangement_lines
     assert _statistics_tally(r, n, order) == group
     assert _statistics_tally(r, n, order, derangements_only=True) == deranged
@@ -103,8 +102,7 @@ def test_exc_is_read_in_the_standard_order_under_the_alternate_order():
     sigma = parse("2,3^1,1^2", 3)
     # the case discriminates: read in the alternate order, exc would differ
     assert _exc_read_in(sigma, ALTERNATE) != weak_excedance_count(sigma)
-    tables = rank_table(3, 3, ALTERNATE), rank_table(3, 3, STANDARD)
-    [line] = dump_lines([sigma], *tables, ALTERNATE.value)
+    [line] = dump_lines([sigma], 3, 3, ALTERNATE)
     doc = json.loads(line)
     assert doc["exc"] == weak_excedance_count(sigma)
     record = stat_record(sigma, ALTERNATE)
