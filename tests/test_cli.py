@@ -531,6 +531,49 @@ def test_bad_range_exits_two(capsys):
     assert code == 2 and "empty range" in err
 
 
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_one_parser_is_built_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+MIXED_ROUND = (
+    ("poly", "--kind", "eulerian", "--r", "2", "--n", "3"),
+    ("roots", "--r", "2", "--n", "3", "--interlace-next"),
+    ("dump", "--r", "2", "--n", "3", "--bound", "0"),
+    ("verify", "--suite", "counts"),
+    ("dump", "--element", "2,1", "--r", "2"),
+)
+
+
+def test_the_shared_parser_answers_a_repeated_round_alike(capsys):
+    rounds = []
+    for _ in range(2):
+        outcomes = []
+        for argv in MIXED_ROUND:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse refuses the bound
+                code = exc.code
+            outcomes.append((code, capsys.readouterr().out))
+        rounds.append(outcomes)
+    assert rounds[1] == rounds[0]
+    assert [code for code, _ in rounds[0]] == [0, 0, 2, 0, 0]
+    assert all(out for code, out in rounds[0] if code == 0)
+
+
+def test_a_command_replaced_after_the_parser_was_built_is_the_one_that_runs(
+    monkeypatch, capsys
+):
+    # a wrapper installed in COMMANDS later (as the benchmark tracer does)
+    # must see every call; a parser that captured cmd_poly would bypass it
+    cli.build_parser()
+    monkeypatch.setitem(cli.COMMANDS, "poly", lambda args: print("replaced", args.kind) or 0)
+    code, out, _ = run(capsys, "poly", "--kind", "eulerian", "--r", "2", "--n", "3")
+    assert (code, out) == (0, "replaced eulerian\n")
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 SCRIPT = "cyclic-derangements"
 

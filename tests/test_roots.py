@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -242,13 +242,13 @@ def test_deflating_a_non_root_raises(monkeypatch):
     assert roots._deflate([2, -5, 2], Fraction(1, 2)) == [-4, 2]
     # with tolerance 1 the box of sqrt(2), a root of x^2 - 2, is (3/4, 3/2]
     # and its candidate is 1, which no bisection point 3 j / 2^k equals;
-    # the box test misreads 1 as a root: deflation must refuse it
+    # the box test misreads 1 = u / w as a root: deflation must refuse it
     real_sign_at = roots._sign_at
     assert isolate_roots(poly(-2, 0, 1), tolerance=1)[1][1] == (
         Fraction(3, 4), Fraction(3, 2)
     )
     monkeypatch.setattr(
-        roots, "_sign_at", lambda coeffs, x: 0 if x == 1 else real_sign_at(coeffs, x)
+        roots, "_sign_at", lambda coeffs, u, w: 0 if u == w else real_sign_at(coeffs, u, w)
     )
     with pytest.raises(InexactDivisionError):
         isolate_roots(poly(-2, 0, 1), tolerance=1)
@@ -256,10 +256,11 @@ def test_deflating_a_non_root_raises(monkeypatch):
 
 def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
     # bisection of (x - 1)(x + 3) starts at the midpoint 0 of the symmetric
-    # Cauchy interval; a value that misreports 0 as a root must be caught
+    # Cauchy interval; a value that misreports 0 = u / w as a root must be
+    # caught
     real_sign_at = roots._sign_at
     monkeypatch.setattr(
-        roots, "_sign_at", lambda coeffs, x: 0 if x == 0 else real_sign_at(coeffs, x)
+        roots, "_sign_at", lambda coeffs, u, w: 0 if u == 0 else real_sign_at(coeffs, u, w)
     )
     with pytest.raises(InexactDivisionError):
         isolate_roots(linear_product([1, -3]))
@@ -300,6 +301,105 @@ def test_isolation_recovers_every_rational_root_of_large_products(linears, big):
     exact, intervals = isolate_roots(product)
     assert list(exact) == rational
     assert len(intervals) == 2
+
+
+# The Fraction bisection that the integer grid cells replaced, kept as the
+# reference: every midpoint and width test is exact rational arithmetic.
+
+
+def _fraction_sign_at(coeffs, x):
+    return roots._sign(sum(c * x**k for k, c in enumerate(coeffs)))
+
+
+def _fraction_halve(work, lo, hi, sign_hi):
+    mid = (lo + hi) / 2
+    sign = _fraction_sign_at(work, mid)
+    if sign == 0:
+        return mid, mid, 0
+    if sign == sign_hi:
+        return lo, mid, sign
+    return mid, hi, sign_hi
+
+
+def reference_isolate(work, tolerance):
+    """(exact roots, boxes (lo, hi, sign at hi), deflated work) by Fraction bisection."""
+    exact = []
+    while len(work) > 1:
+        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
+        lead = abs(chain.chain[0][-1])
+        bound = roots._cauchy_bound(work)
+        variations = chain.variations_at(-bound)
+        total = variations - chain.variations_at(bound)
+        pending = []
+        if total:
+            pending.append((-bound, bound, _fraction_sign_at(work, bound), total, variations))
+        boxes, found = [], []
+        while pending:
+            a, b, sign_b, count, variations = pending.pop()
+            if count == 1:
+                while b - a > tolerance:
+                    a, b, sign_b = _fraction_halve(work, a, b, sign_b)
+                box = a, b, sign_b
+                while (b - a) * lead >= 1:
+                    a, b, sign_b = _fraction_halve(work, a, b, sign_b)
+                root = Fraction(floor(b * lead), lead)
+                if a <= root and _fraction_sign_at(work, root) == 0:
+                    found.append(root)
+                else:
+                    boxes.append(box)
+                continue
+            mid = (a + b) / 2
+            sign = _fraction_sign_at(work, mid)
+            if sign == 0:
+                found.append(mid)
+                break
+            at_mid = chain.variations_at(mid)
+            left = variations - at_mid
+            if left:
+                pending.append((a, mid, sign, left, variations))
+            if count - left:
+                pending.append((mid, b, sign_b, count - left, at_mid))
+        if not found:
+            return sorted(exact), sorted(boxes), work
+        for root in found:
+            exact.append(root)
+            work = roots._deflate(work, root)
+    return sorted(exact), [], work
+
+
+TOLERANCES = (Fraction(1, 2**40), Fraction(1, 2**60), 1, 2, Fraction(1, 8), Fraction(3, 7))
+
+# ascending coefficients of p x + q and of a x^2 + b x + c; repeats make
+# products that are not squarefree
+linear_factors = st.tuples(st.integers(-30, 30), st.integers(1, 12))
+quadratic_factors = st.tuples(
+    st.integers(-40, 40), st.integers(-20, 20), st.sampled_from([1, 2, 3, 10**16])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(linear_factors | quadratic_factors, min_size=1, max_size=4))
+@example([(0, 1), (-2, 1), (2, 1), (-2, 0, 1)])  # the first split point 0 is a root
+@example([(-1, 8), (-2, 0, 1)])  # at tolerance 2 or 1, cells pass 1/L = 1/8 deeper
+@example([(5, 7), (3, 1), (-2, 0, 10**16)])  # 1/L lies below 2^-40 as well
+@example([(3, 1), (3, 1), (-2, 0, 1)])  # not squarefree
+def test_isolation_matches_the_fraction_bisection(factors):
+    product = poly(1)
+    for factor in factors:
+        product = product * poly(*factor)
+    coeffs = product.q_coefficient_list()
+    for tolerance in TOLERANCES:
+        try:
+            expected = reference_isolate(coeffs, tolerance)
+        except NotSquarefreeError:
+            with pytest.raises(NotSquarefreeError):
+                isolate_roots(product, tolerance)
+            continue
+        assert roots._isolate(coeffs, tolerance) == expected
+        exact, boxes, _ = expected
+        assert isolate_roots(product, tolerance) == (
+            tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
+        )
 
 
 def test_isolation_json_shape():

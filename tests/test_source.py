@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cyclic_derangements"
@@ -26,3 +27,23 @@ def test_no_line_in_the_package_is_longer_than_99_characters():
         if len(line) > 99
     ]
     assert long_lines == []
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # the standard library is the only runtime dependency
+    allowed = set(sys.stdlib_module_names) | {PACKAGE.name}
+    outside = []
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.relative_to(PACKAGE.parent)}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert outside == []
