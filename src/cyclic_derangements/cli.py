@@ -279,17 +279,9 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """The argument parser; one is built per process and serves every ``main`` call.
-
-    The cache sits on ``_parser`` so that this stays a plain function,
-    whose calls the benchmark tracer (``bench/tracing.py``) counts.
-    """
-    return _parser()
-
-
 @functools.cache
-def _parser():
+def build_parser():
+    """The argument parser; one is built per process and serves every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="cyclic-derangements",
         description=(

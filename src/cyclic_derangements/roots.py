@@ -20,18 +20,18 @@ certify
 
 Bisection works on integer cells of the dyadic grid on (-B, B], B the
 Cauchy bound, and makes ``Fraction`` ends only for what it reports.
-Sturm counts split cells holding several roots; one holding a single
-root keeps the half where the polynomial changes sign.  A rational root
-of a primitive polynomial is a multiple of 1/L, L its leading
-coefficient, so a one-root cell narrower than 1/L has one candidate,
-tested by its exact sign and deflated out before any cell is narrowed
-to the tolerance; the rule holds at every coefficient size.  Both
-verdicts are exact ("pass" or "fail"): interlacing is read from the
-larger polynomial's Sturm counts between the smaller one's root boxes.
+One Sturm-count bisection splits cells until each holds one root of one
+of its chains; a box then keeps the half where its polynomial changes
+sign.  A rational root of a primitive polynomial is a multiple of 1/L,
+L its leading coefficient, so a one-root cell narrower than 1/L has one
+candidate, tested by its exact sign and deflated out before any cell is
+narrowed to the tolerance; the rule holds at every coefficient size.
+Both verdicts are exact ("pass" or "fail"): interlacing is the order of
+the one-root cells of the bisection over both polynomials' chains.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .polynomials import BivariatePolynomial, InexactDivisionError
 
@@ -142,16 +142,16 @@ class SturmChain:
     def count_roots(self, low, high):
         """Distinct real roots in (low, high]; None means +-infinity.
 
-        A finite ``low`` must not itself be a root (the half-open
-        convention breaks there); a root at ``high`` is counted.
+        The count is exact at either end: a root at ``high`` is counted
+        and one at ``low`` is not, since at a simple root the vanishing
+        first member drops out and the variations equal those just right
+        of it.
         """
         if low is not None and high is not None and low >= high:
             raise ValueError("empty interval: low must be below high")
         if low is None:
             va = _variations(_sign(p[-1]) * (-1) ** (len(p) - 1) for p in self.chain)
         else:
-            if _sign_at(self.chain[0], low.numerator, low.denominator) == 0:
-                raise ValueError("left endpoint is a root; nudge it")
             va = self.variations_at(low)
         if high is None:
             vb = _variations(_sign(p[-1]) for p in self.chain)
@@ -216,17 +216,44 @@ def _box(cell):
     return Fraction(a, w), Fraction(b, w), sign_b
 
 
+def _cells(chains, bn, bd):
+    """One-root cells of the bisection of (-B, B], B = bn / bd, in increasing order.
+
+    A cell (a, b, w) at depth k is (a/w, b/w] with w = bd 2^k and
+    b - a = 2 bn, carried with every chain's Sturm variations at both
+    ends.  One holding exactly one root of one chain i is yielded as
+    (i, (a, b, w)); one holding more is halved, so the chains must share
+    no root.  No split point needs a sign test: a half-open Sturm count
+    is exact even when an end is a root.
+    """
+
+    def variations(u, w):
+        return [_variations_at(chain, u, w) for chain in chains]
+
+    pending = [(-bn, bn, bd, variations(-bn, bd), variations(bn, bd))]
+    while pending:
+        a, b, w, left, right = pending.pop()
+        counts = [va - vb for va, vb in zip(left, right)]
+        if sum(counts) == 1:
+            yield counts.index(1), (a, b, w)
+        elif sum(counts):
+            m, w = a + b, 2 * w
+            mid = variations(m, w)
+            pending.append((m, 2 * b, w, mid, right))
+            pending.append((2 * a, m, w, left, mid))
+
+
 def _isolate(work, tolerance):
     """Exact roots, boxes (lo, hi, sign at hi), and ``work`` deflated.
 
-    A pass bisects ``work`` on the grid of its Cauchy bound B = bn / bd:
-    a cell at depth k is (a/w, b/w] with w = bd 2^k and b - a = 2 bn, so
-    width tests compare w with integers.  A root p/q of the primitive
-    ``work`` has q | L, its leading coefficient, so a one-root cell (a, b]
-    narrower than 1/L holds no rational root but floor(L b) / L.  A pass
-    narrows one-root cells that far, tests those candidates and deflates
-    the roots found before the next pass; only a pass that finds none
-    narrows its boxes to the tolerance.
+    A pass takes the one-root cells of ``work`` from ``_cells`` on the
+    grid of its Cauchy bound B = bn / bd, so width tests compare w with
+    integers.  A root p/q of
+    the primitive ``work`` has q | L, its leading coefficient, so a
+    one-root cell (a, b] narrower than 1/L holds no rational root but
+    floor(L b) / L.  A pass narrows one-root cells that far, tests those
+    candidates and deflates the roots found before the next pass; only a
+    pass that finds none narrows its boxes to the tolerance.
     """
     tolerance = Fraction(tolerance)
     exact = []
@@ -242,36 +269,16 @@ def _isolate(work, tolerance):
             fine *= 2
         while coarse <= 2 * bn * lead:
             coarse *= 2
-        # (cell, roots in it, Sturm variations at its left end); the bound
-        # is strict, so neither end of (-B, B] is a root
-        variations = _variations_at(chain, -bn, bd)
-        total = variations - _variations_at(chain, bn, bd)
-        pending = [((-bn, bn, bd, _sign_at(work, bn, bd)), total, variations)] if total else []
         boxes, found = [], []
-        while pending:
-            cell, count, variations = pending.pop()
-            if count == 1:
-                box = _narrow(work, cell, min(fine, coarse))
-                a, b, w, _ = _narrow(work, box, coarse)
-                p = b * lead // w
-                # a candidate left of the cell may be another cell's root
-                if a * lead <= p * w and _sign_at(work, p, lead) == 0:
-                    found.append(Fraction(p, lead))
-                else:
-                    boxes.append(box)
-                continue
-            a, b, w, sign_b = cell
-            m, w = a + b, 2 * w
-            sign = _sign_at(work, m, w)
-            if sign == 0:
-                found.append(Fraction(m, w))
-                break
-            at_mid = _variations_at(chain, m, w)
-            left = variations - at_mid
-            if left:
-                pending.append(((2 * a, m, w, sign), left, variations))
-            if count - left:
-                pending.append(((m, 2 * b, w, sign_b), count - left, at_mid))
+        for _, (a, b, w) in _cells([chain], bn, bd):
+            box = _narrow(work, (a, b, w, _sign_at(work, b, w)), min(fine, coarse))
+            a, b, w, _ = _narrow(work, box, coarse)
+            p = b * lead // w
+            # a candidate at or left of the open end may be another cell's root
+            if (a == b or a * lead < p * w) and _sign_at(work, p, lead) == 0:
+                found.append(Fraction(p, lead))
+            else:
+                boxes.append(box)
         if not found:
             return sorted(exact), sorted(_box(_narrow(work, box, fine)) for box in boxes), work
         for root in found:
@@ -374,11 +381,10 @@ def verify_interlacing(smaller, larger):
     not spoil strictness; the remaining negative roots must alternate
     L s L s ... L when read in increasing order (L from ``larger``).
 
-    Only ``smaller`` is isolated; a box that holds or starts at a root
-    of ``larger`` is halved by the sign rule until it does not (it ends:
-    the two share no root).  Sturm counts of ``larger`` before, between
-    and after the halved boxes, taken in order with the exact roots as
-    point boxes, give the pattern "L" * c0 + "s" + "L" * c1 ...
+    The pattern is read off ``_cells`` over the Sturm chains of both
+    polynomials, on the grid of the larger Cauchy bound: its one-root
+    cells, in increasing order, tagged "s" or "L".  The bisection ends
+    because the two share no root, which is checked first.
     """
     ps, pl = _coefficients(smaller), _coefficients(larger)
     if not ps or not pl:
@@ -401,24 +407,9 @@ def verify_interlacing(smaller, larger):
         return _interlacing("fail", "polynomials share a root")
     if len(ps) == 1:
         return _interlacing("pass", "nothing to separate", pattern="L")
-    exact, boxes, work = _isolate(ps, DEFAULT_TOLERANCE)
-    chain = SturmChain(larger)
-    separated = [(x, x) for x in exact]  # an exact root may lie in a box
-    for lo, hi, sign_hi in boxes:
-        w = lcm(lo.denominator, hi.denominator)
-        cell = int(lo * w), int(hi * w), w, sign_hi
-        while lo < hi and (_sign_at(pl, cell[0], cell[2]) == 0 or chain.count_roots(lo, hi)):
-            cell = _bisect(work, cell)
-            lo, hi, _ = _box(cell)
-        separated.append((lo, hi))
-    # no root of larger lies in a box, nor between boxes that touch or overlap
-    counts, prev = [], None
-    for lo, hi in sorted(separated):
-        empty = prev is not None and prev >= lo
-        counts.append(0 if empty else chain.count_roots(prev, lo))
-        prev = hi if prev is None else max(prev, hi)
-    counts.append(chain.count_roots(prev, None))
-    pattern = "s".join("L" * c for c in counts)
+    chains = [SturmChain(smaller).chain, SturmChain(larger).chain]
+    bound = max(_cauchy_bound(ps), _cauchy_bound(pl))
+    pattern = "".join("sL"[i] for i, _ in _cells(chains, bound.numerator, bound.denominator))
     expected = "L" + "sL" * (len(ps) - 1)
     if pattern == expected:
         return _interlacing("pass", "roots alternate strictly", pattern=pattern)

@@ -43,6 +43,8 @@ def series_divide(a, b):
     """
     if len(a) != len(b):
         raise ValueError("series orders differ; truncate explicitly first")
+    if not b:
+        raise ValueError("an empty series has no order")
     b0 = b[0]
     if not b0:
         raise ZeroConstantTermError("divisor has zero constant term")

@@ -62,6 +62,8 @@ def test_exp_series_coefficients():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         series_divide(series_exp_sum([(1, 1)], 3), series_exp_sum([(1, 1)], 4))
+    with pytest.raises(ValueError, match="empty"):
+        series_divide((), ())
 
 
 @given(series_of(INTEGERS, 6), series_of(INTEGERS, 6, UNITS))
