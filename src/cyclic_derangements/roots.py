@@ -6,32 +6,45 @@ primitive pseudo-remainder sequences: every member is a primitive
 integer polynomial and a positive multiple of the classical member, so
 it has the classical signs.  Every sign comes from one helper: at a
 rational x = u/w (w > 0) it is the sign of the homogenized value
-sum c_j u^j w^(d-j), found by integer Horner.  Sturm chains count real
-roots in half-open intervals, roots are isolated by bisection into
-exact rational roots and disjoint rational intervals (``isolate_roots``
-returns that pair), and the two verification entry points, whose
-reports are plain dicts with the keys ``roots --format json`` prints,
-certify
+sum c_j u^j w^(d-j), found by integer Horner.  Roots are isolated by
+bisection into exact rational roots and disjoint rational intervals
+(``isolate_roots`` returns that pair), and the two verification entry
+points, whose reports are plain dicts with the keys ``roots --format
+json`` prints, certify
 
 * ``verify_negative_distinct`` -- all roots real, distinct, negative,
   apart from an explicitly reported zero root of multiplicity <= 1, and
 * ``verify_interlacing`` -- the roots of one polynomial strictly
   separate the roots of the next one in the family.
 
-Bisection works on integer cells of the dyadic grid on (-B, B], B the
-Cauchy bound, and makes ``Fraction`` ends only for what it reports.
-One Sturm-count bisection splits cells until each holds one root of one
-of its chains; a box then keeps the half where its polynomial changes
-sign.  A rational root of a primitive polynomial is a multiple of 1/L,
-L its leading coefficient, so a one-root cell narrower than 1/L has one
-candidate, tested by its exact sign and deflated out before any cell is
-narrowed to the tolerance; the rule holds at every coefficient size.
-Both verdicts are exact ("pass" or "fail"): interlacing is the order of
-the one-root cells of the bisection over both polynomials' chains.
+Bisection works on integer cells of a dyadic grid on (-B, B] and makes
+``Fraction`` ends only for what it reports.  One bisection, ``_cells``,
+splits cells until each holds one root of one polynomial, counting the
+roots in a cell from ranks at its ends; a box then keeps the half where
+its polynomial changes sign.  A rational root of a primitive polynomial
+is a multiple of 1/L, L its leading coefficient, so a one-root cell
+narrower than 1/L has one candidate, tested by its exact sign and
+deflated out before any cell is narrowed to the tolerance; the rule
+holds at every coefficient size.
+
+Isolation and the two certificates reach their verdicts by separate
+routes.  Isolation bisects the grid of the Cauchy bound and takes its
+ranks from a sign-alternation certificate: Laguerre approximations of
+all roots, in floats or in ``decimal``, put points between the roots,
+and exact signs at those points prove the roots real and simple, one to
+a gap.  Each rank is then one sign, and each narrowing one jump to the
+cell an approximation names, checked by the signs at its ends.  Floats
+are never trusted: where the approximations fail or do not certify,
+isolation takes its ranks from Sturm counts instead, with the same
+cells.  Negativity is a Sturm count, and interlacing the order of the
+one-root cells of ``_cells`` over both polynomials' Sturm chains, on
+the grid of a power-of-two Fujiwara bound.  Both verdicts are exact
+("pass" or "fail").
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, sqrt
 
 from .polynomials import BivariatePolynomial, InexactDivisionError
 
@@ -165,6 +178,32 @@ def _cauchy_bound(coeffs):
     return 1 + Fraction(max(map(abs, coeffs[:-1])), abs(coeffs[-1]))
 
 
+def _below(c, lead, shift):
+    """Whether c < lead * 2^shift, for integers c, lead >= 0."""
+    return c < lead << shift if shift >= 0 else c << -shift < lead
+
+
+def _fujiwara_bound(coeffs):
+    """A power of two 2^k strictly above the magnitude of every root.
+
+    Fujiwara's bound: every root has |z| <= 2 max_j |c_(d-j) / c_d|^(1/j),
+    the j = d term taken with c_0 / 2.  So 2^k is strictly above it once
+    |c_(d-j)| < |c_d| 2^((k-1) j) for every j (times 2 at j = d); the
+    least such k is found per term from bit lengths, then by exact tests.
+    """
+    lead, d = abs(coeffs[-1]), len(coeffs) - 1
+    e = -1
+    for j in range(1, d + 1):
+        c, extra = abs(coeffs[d - j]), int(j == d)
+        if c:
+            # c < 2^bits(c) <= lead 2^(e j + extra) holds from this e on
+            ej = -((lead.bit_length() - 1 + extra - c.bit_length()) // j)
+            while _below(c, lead, (ej - 1) * j + extra):
+                ej -= 1
+            e = max(e, ej)
+    return Fraction(2) ** (e + 1)
+
+
 def _deflate(work, root):
     """work / (x - root); a remainder means ``root`` was no root.
 
@@ -210,56 +249,258 @@ def _narrow(work, cell, fine):
     return cell
 
 
+def _newton(work, x, fine):
+    """One exact Newton step from x, rounded down to a multiple of 1 / (4 fine).
+
+    With x = u / v, Horner gives v^m p(x) and v^(m-1) p'(x) as integers.
+    None where p' vanishes.
+    """
+    u, v = x.numerator, x.denominator
+    value, slope, power = work[-1], 0, 1
+    for c in reversed(work[:-1]):
+        power *= v
+        slope = slope * u + value
+        value = value * u + c * power
+    if not slope:
+        return None
+    return Fraction((u * slope - value) * 4 * fine // (v * slope), 4 * fine)
+
+
+def _jump(work, cell, fine, x):
+    """``_narrow`` in one step: (the cell at denominator ``fine`` that holds x, x).
+
+    That cell holds the root when ``work`` vanishes at its right end or
+    changes sign between its ends, since the one-root cell it lies in
+    has no other root.  On a miss x is refined by an exact Newton step
+    and the jump tried again, twice; after that the cell is bisected.
+    The x returned is the last one tried.
+    """
+    a, b, w, sign_b = cell
+    if w >= fine or a == b:
+        return cell, x
+    scale, width = fine // w, b - a
+    for _ in range(3):
+        # the cells (lo + j width, lo + (j + 1) width] at denominator fine
+        # tile (a/w, b/w]; j is the one holding x, clamped to the tiles
+        lo, u, v = a * scale, x.numerator, x.denominator
+        j = min(max(-((lo * v - u * fine) // (width * v)) - 1, 0), scale - 1)
+        lo += j * width
+        hi = lo + width
+        sign_hi = sign_b if j == scale - 1 else _sign_at(work, hi, fine)
+        if sign_hi == 0 or _sign_at(work, lo, fine) == -sign_hi:
+            return (lo, hi, fine, sign_hi), x
+        refined = _newton(work, x, fine)
+        if refined is None:
+            break
+        x = refined
+    return _narrow(work, cell, fine), x
+
+
 def _box(cell):
     """A cell as (lo, hi, sign at hi) with ``Fraction`` ends."""
     a, b, w, sign_b = cell
     return Fraction(a, w), Fraction(b, w), sign_b
 
 
-def _cells(chains, bn, bd):
+def _sturm_ranks(chains):
+    """Ranks for ``_cells`` from Sturm chains: minus the variations at u / w."""
+    return lambda u, w: [-_variations_at(chain, u, w) for chain in chains]
+
+
+def _cells(ranks, bn, bd):
     """One-root cells of the bisection of (-B, B], B = bn / bd, in increasing order.
 
-    A cell (a, b, w) at depth k is (a/w, b/w] with w = bd 2^k and
-    b - a = 2 bn, carried with every chain's Sturm variations at both
-    ends.  One holding exactly one root of one chain i is yielded as
-    (i, (a, b, w)); one holding more is halved, so the chains must share
-    no root.  No split point needs a sign test: a half-open Sturm count
+    ``ranks(u, w)`` gives, per polynomial i, its number of roots at or
+    below u / w up to a constant, so a difference of ranks counts roots
+    in a half-open cell.  A cell (a, b, w) at depth k is (a/w, b/w] with
+    w = bd 2^k and b - a = 2 bn, carried with the ranks at both ends.
+    One holding exactly one root of one polynomial i is yielded as
+    (i, (a, b, w)); one holding more is halved, so the polynomials must
+    share no root.  No split point needs a sign test: a half-open count
     is exact even when an end is a root.
     """
-
-    def variations(u, w):
-        return [_variations_at(chain, u, w) for chain in chains]
-
-    pending = [(-bn, bn, bd, variations(-bn, bd), variations(bn, bd))]
+    pending = [(-bn, bn, bd, ranks(-bn, bd), ranks(bn, bd))]
     while pending:
         a, b, w, left, right = pending.pop()
-        counts = [va - vb for va, vb in zip(left, right)]
+        counts = [rb - ra for ra, rb in zip(left, right)]
         if sum(counts) == 1:
             yield counts.index(1), (a, b, w)
         elif sum(counts):
             m, w = a + b, 2 * w
-            mid = variations(m, w)
+            mid = ranks(m, w)
             pending.append((m, 2 * b, w, mid, right))
             pending.append((2 * a, m, w, left, mid))
 
 
-def _isolate(work, tolerance):
+#: Laguerre steps allowed for one root before an approximation run gives up
+_LAGUERRE_STEPS = 60
+
+
+def _laguerre(coeffs, num, sqrt, start, eps):
+    """Approximations of the roots of ``coeffs`` as sorted Fractions, or None.
+
+    Laguerre's method in the number type ``num`` (float or Decimal, with
+    its ``sqrt``) and Maehly's implicit deflation: the roots z found so
+    far are divided out of G = p'/p and H = G^2 - p''/p, not out of p.
+    The first root is sought from ``start``, left of every root, and
+    each later one from sqrt(``eps``) |z| right of the last root z found,
+    clear of the rounding noise of p near z; on a real-rooted polynomial
+    each run then converges from the left to the next root.  A run stops
+    one step after its step falls below ``eps`` |x|.  None if n H - G^2
+    turns clearly negative, which no real-rooted polynomial allows, or a
+    run does not settle; an overflow raises.
+    """
+    c = [num(a) for a in reversed(coeffs)]
+    zero, slack, nudge = num(0), num(1) / 2**10, sqrt(eps)
+    found = []
+    x = num(start)
+    for n in range(len(c) - 1, 0, -1):
+        settled = False
+        for _ in range(_LAGUERRE_STEPS):
+            p, d1, d2 = c[0], zero, zero  # p, p' and p''/2 by Horner
+            for a in c[1:]:
+                d2 = d2 * x + d1
+                d1 = d1 * x + p
+                p = p * x + a
+            if not abs(p) < inf:
+                raise OverflowError("polynomial value out of range")
+            if not p:
+                break
+            g = d1 / p
+            h = g * g - 2 * d2 / p
+            for z in found:
+                t = 1 / (x - z)
+                g -= t
+                h -= t * t
+            e = n * h - g * g
+            if n > 1 and e < -slack * g * g:
+                return None
+            root = sqrt((n - 1) * max(e, zero))
+            step = n / (g - root if g < 0 else g + root)
+            x -= step
+            if settled:
+                break
+            settled = abs(step) <= eps * abs(x)
+        else:
+            return None
+        found.append(x)
+        x += abs(x) * nudge or nudge
+    return sorted(map(Fraction, found))
+
+
+def _approximations(work):
+    """Candidate approximations of the roots of ``work``: in floats, then in ``decimal``.
+
+    A generator, so that the ``decimal`` run is made only when the float
+    run overflows, fails, or does not certify.  ``decimal`` never
+    overflows, and its precision grows with the coefficient bits, as the
+    depth of the grid cells the approximations must name does.
+    """
+    start = -_fujiwara_bound(work)
+    try:
+        yield _laguerre(work, float, sqrt, float(start), 2.0**-26)
+    except (ArithmeticError, ValueError):
+        pass
+    digits = 20 + max(abs(c).bit_length() for c in work) * 3 // 10
+    with localcontext() as context:
+        context.prec = digits
+        try:
+            run = _laguerre(
+                work, Decimal, Decimal.sqrt, Decimal(start.numerator) / start.denominator,
+                Decimal(10) ** -(digits // 2),
+            )
+        except (ArithmeticError, ValueError):
+            run = None
+    yield run
+
+
+def _dyadic_between(x, y):
+    """(u, 2^e) or (u, 1): a dyadic u / 2^e with few bits strictly between x < y.
+
+    The midpoint rounded down to a multiple of 2^-e <= (y - x) / 2; when
+    x >= y, a point no smaller than y.
+    """
+    num, den = x.numerator * y.denominator, x.denominator * y.denominator
+    gap = y.numerator * x.denominator - num
+    if gap <= 0:
+        return y.numerator, y.denominator
+    e = den.bit_length() - gap.bit_length() + 2
+    if e >= 0:
+        return ((2 * num + gap) << e) // (2 * den), 1 << e
+    return ((2 * num + gap) // (2 * den << -e)) << -e, 1
+
+
+def _certificate(work, bound, candidates):
+    """(approximations, ranks) from the first candidate list that certifies, or None.
+
+    A list x_1 < ... < x_m for ``work`` of degree m gives the points
+    c_0 = -B < c_1 < ... < c_m = B, each c_i a dyadic between x_i and
+    x_(i+1).  If ``work`` changes sign between every two consecutive
+    points, it has a root in each of the m gaps, so its m roots are real,
+    simple and one to a gap.  Then the roots at or below a point g with
+    c_(i-1) <= g < c_i number i - 1, plus one if ``work`` vanishes at g or
+    has the sign it has at c_i: one sign instead of a Sturm chain.
+    """
+    m = len(work) - 1
+    bn, bd = bound.numerator, bound.denominator
+    for xs in candidates:
+        if xs is None or len(xs) != m:
+            continue
+        points = [(-bn, bd), *map(_dyadic_between, xs, xs[1:]), (bn, bd)]
+        if any(u * z >= v * w for (u, w), (v, z) in zip(points, points[1:])):
+            continue
+        signs = [_sign_at(work, u, w) for u, w in points]
+        if all(s and s == -t for s, t in zip(signs, signs[1:])):
+            return xs, _certified_ranks(work, points, signs)
+    return None
+
+
+def _certified_ranks(work, points, signs):
+    """Ranks for ``_cells`` from a certificate, as ``_certificate`` counts them."""
+    m = len(points) - 1
+
+    def ranks(u, w):
+        lo, hi = 0, m + 1  # bisect for i, the number of points <= u / w
+        while lo < hi:
+            mid = (lo + hi) // 2
+            c, d = points[mid]
+            if c * w <= u * d:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo > m:
+            return [m]
+        sign = _sign_at(work, u, w)
+        return [lo - 1 + (sign == 0 or sign == signs[lo])]
+
+    return ranks
+
+
+def _isolate(work, tolerance, candidates=()):
     """Exact roots, boxes (lo, hi, sign at hi), and ``work`` deflated.
 
     A pass takes the one-root cells of ``work`` from ``_cells`` on the
     grid of its Cauchy bound B = bn / bd, so width tests compare w with
-    integers.  A root p/q of
-    the primitive ``work`` has q | L, its leading coefficient, so a
-    one-root cell (a, b] narrower than 1/L holds no rational root but
-    floor(L b) / L.  A pass narrows one-root cells that far, tests those
-    candidates and deflates the roots found before the next pass; only a
-    pass that finds none narrows its boxes to the tolerance.
+    integers.  A root p/q of the primitive ``work`` has q | L, its
+    leading coefficient, so a one-root cell (a, b] narrower than 1/L
+    holds no rational root but floor(L b) / L.  A pass narrows one-root
+    cells that far, tests those candidates and deflates the roots found
+    before the next pass; only a pass that finds none narrows its boxes
+    to the tolerance.
+
+    A pass counts roots and narrows cells in one of two ways.  If one of
+    ``candidates`` (lists of root approximations, see ``_approximations``)
+    certifies, the counts come from one sign each (``_certificate``) and
+    each narrowing is one ``_jump`` to the cell the approximation names;
+    the next pass gets the approximations of the roots not deflated.
+    Otherwise the counts come from the Sturm chain of ``work`` and cells
+    are narrowed by bisection, in this pass and every later one.  Both
+    find the same cells, so the result does not depend on the way.
     """
     tolerance = Fraction(tolerance)
     exact = []
     while len(work) > 1:
-        chain = SturmChain(BivariatePolynomial.from_q_coefficients(work)).chain
-        lead = abs(chain[0][-1])
+        lead = abs(_primitive(work)[-1])
         bound = _cauchy_bound(work)
         bn, bd = bound.numerator, bound.denominator
         # cells are no wider than the tolerance from w = fine on, and
@@ -269,21 +510,39 @@ def _isolate(work, tolerance):
             fine *= 2
         while coarse <= 2 * bn * lead:
             coarse *= 2
-        boxes, found = [], []
-        for _, (a, b, w) in _cells([chain], bn, bd):
-            box = _narrow(work, (a, b, w, _sign_at(work, b, w)), min(fine, coarse))
-            a, b, w, _ = _narrow(work, box, coarse)
+        certified = _certificate(work, bound, candidates)
+        if certified:
+            xs, ranks = certified
+
+            def narrow(k, cell, w):
+                cell, xs[k] = _jump(work, cell, w, xs[k])
+                return cell
+
+        else:
+            chain = SturmChain(BivariatePolynomial.from_q_coefficients(work)).chain
+            ranks = _sturm_ranks([chain])
+
+            def narrow(k, cell, w):
+                return _narrow(work, cell, w)
+
+        boxes, found = [], {}
+        # one root to a cell, so the k-th cell holds the k-th root
+        for k, (_, (a, b, w)) in enumerate(_cells(ranks, bn, bd)):
+            box = narrow(k, (a, b, w, _sign_at(work, b, w)), min(fine, coarse))
+            a, b, w, _ = narrow(k, box, coarse)
             p = b * lead // w
             # a candidate at or left of the open end may be another cell's root
             if (a == b or a * lead < p * w) and _sign_at(work, p, lead) == 0:
-                found.append(Fraction(p, lead))
+                found[k] = Fraction(p, lead)
             else:
-                boxes.append(box)
+                boxes.append((k, box))
         if not found:
-            return sorted(exact), sorted(_box(_narrow(work, box, fine)) for box in boxes), work
-        for root in found:
+            boxes = sorted(_box(narrow(k, box, fine)) for k, box in boxes)
+            return sorted(exact), boxes, work
+        for root in found.values():
             exact.append(root)
             work = _deflate(work, root)
+        candidates = [[x for k, x in enumerate(xs) if k not in found]] if certified else ()
     return sorted(exact), [], work
 
 
@@ -298,14 +557,17 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     Every rational root is recognized, at whatever coefficient size, as
     ``_isolate`` says, and deflated out.  The boxes come from a last pass
     over the deflated polynomial, so they hold the irrational roots and
-    never have roots at their endpoints.
+    never have roots at their endpoints.  The cells come from Laguerre
+    approximations certified by exact signs where they certify, and from
+    Sturm counts where not; a polynomial with a repeated root never
+    certifies, and its Sturm chain raises ``NotSquarefreeError``.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     original = _coefficients(poly)
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    exact, boxes, _ = _isolate(original, tolerance)
+    exact, boxes, _ = _isolate(original, tolerance, _approximations(original))
     return tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
 
 
@@ -330,7 +592,15 @@ def verify_negative_distinct(poly, allow_zero_root=True):
     dict: passed, detail, degree (-1 for the zero polynomial),
     zero_root_multiplicity and negative_roots.
     """
-    p = _coefficients(poly)
+    return _negative_distinct(_coefficients(poly), allow_zero_root)[0]
+
+
+def _negative_distinct(p, allow_zero_root):
+    """(report, chain): ``verify_negative_distinct`` on the coefficients p.
+
+    ``chain`` is the ``SturmChain`` the report counted with, or None
+    where it needed none.
+    """
     degree, k = len(p) - 1, _zero_multiplicity(p)
     report = {
         "passed": False,
@@ -339,8 +609,9 @@ def verify_negative_distinct(poly, allow_zero_root=True):
         "zero_root_multiplicity": k,
         "negative_roots": 0,
     }
+    chain = None
     if not p:
-        return report
+        return report, chain
     if k > (1 if allow_zero_root else 0):
         report["detail"] = f"root at zero has multiplicity {k}"
     elif degree == k:
@@ -358,7 +629,7 @@ def verify_negative_distinct(poly, allow_zero_root=True):
                 + (" plus a simple zero root" if k else ""),
                 negative_roots=negative,
             )
-    return report
+    return report, chain
 
 
 def _interlacing(verdict, detail, pattern=""):
@@ -381,10 +652,12 @@ def verify_interlacing(smaller, larger):
     not spoil strictness; the remaining negative roots must alternate
     L s L s ... L when read in increasing order (L from ``larger``).
 
-    The pattern is read off ``_cells`` over the Sturm chains of both
-    polynomials, on the grid of the larger Cauchy bound: its one-root
-    cells, in increasing order, tagged "s" or "L".  The bisection ends
-    because the two share no root, which is checked first.
+    The pattern is read off ``_cells`` over the Sturm chains that the
+    negativity checks built, on the grid of the larger Fujiwara bound, a
+    power of two: its one-root cells, in increasing order, tagged "s" or
+    "L".  The order of the roots, and so the pattern, does not depend on
+    the grid.  The bisection ends because the two share no root, which
+    is checked first.
     """
     ps, pl = _coefficients(smaller), _coefficients(larger)
     if not ps or not pl:
@@ -397,19 +670,21 @@ def verify_interlacing(smaller, larger):
             "fail",
             f"zero-root multiplicities {ks} and {kl} do not match as simple roots",
         )
-    smaller, larger = _shift_down(ps, ks), _shift_down(pl, kl)
     ps, pl = ps[ks:], pl[kl:]
-    for name, p in (("smaller", smaller), ("larger", larger)):
-        report = verify_negative_distinct(p, allow_zero_root=False)
+    chains = []
+    for name, p in (("smaller", ps), ("larger", pl)):
+        report, chain = _negative_distinct(p, allow_zero_root=False)
         if not report["passed"]:
             return _interlacing("fail", f"{name} polynomial: {report['detail']}")
+        chains.append(chain)
     if _share_a_root(ps, pl):
         return _interlacing("fail", "polynomials share a root")
     if len(ps) == 1:
         return _interlacing("pass", "nothing to separate", pattern="L")
-    chains = [SturmChain(smaller).chain, SturmChain(larger).chain]
-    bound = max(_cauchy_bound(ps), _cauchy_bound(pl))
-    pattern = "".join("sL"[i] for i, _ in _cells(chains, bound.numerator, bound.denominator))
+    ranks = _sturm_ranks([chain.chain for chain in chains])
+    bound = max(_fujiwara_bound(ps), _fujiwara_bound(pl))
+    cells = _cells(ranks, bound.numerator, bound.denominator)
+    pattern = "".join("sL"[i] for i, _ in cells)
     expected = "L" + "sL" * (len(ps) - 1)
     if pattern == expected:
         return _interlacing("pass", "roots alternate strictly", pattern=pattern)

@@ -303,12 +303,21 @@ def test_roots_json(capsys):
 #: over rational coefficients
 ROOTS_GRID_SHA256 = "7a38ab77204ee7f476527eee3cda50b768ca256a4f3086975803a0c53b530da5"
 
-#: sha256 of the stdout of single ``roots --format json`` runs, same origin
+#: sha256 of the stdout of single ``roots --format json`` runs, same origin;
+#: the last three were taken while every root cell still came from Sturm
+#: counts.  Now the cells come from certified root approximations: in
+#: floats up to (4, 30), and at (5, 40), past float range, in ``decimal``
 ROOTS_JSON_SHA256 = {
     ("--r", "3", "--n", "20"):
         "7a8d070b269ad75d10261d3caf0f046e66a02daabfdcf9ab2f0889cc79a26e77",
     ("--r", "5", "--n", "16"):
         "65c8d5a0dd7c97ba4242e4017fbdd29e314536812ce7f8f82701dc853bc567ac",
+    ("--r", "5", "--n", "24"):
+        "c8595fc4e0be4d4aec4fb3f6e49daaca5153ec0b46fd942ed446c4c63570fd56",
+    ("--r", "4", "--n", "30"):
+        "a0d74f7bf219aaaeceb8446cda3e1d394bb3b5c62e87a4a29d3a809f9ea04645",
+    ("--r", "5", "--n", "40"):
+        "0f8529df2a92061f6df485bfa43e51483b04ffccb7ecfa4afdf6664e186e6b3b",
 }
 
 

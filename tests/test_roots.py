@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cyclic_derangements import roots
-from cyclic_derangements.counting import exc_derangement_poly
+from cyclic_derangements.counting import eulerian_from_exc, exc_derangement_poly
 from cyclic_derangements.polynomials import BivariatePolynomial, InexactDivisionError
 from cyclic_derangements.roots import (
     DEFAULT_TOLERANCE,
@@ -191,6 +191,33 @@ def test_cauchy_bound_encloses_roots():
     bound = roots._cauchy_bound(CUBIC.q_coefficient_list())
     assert bound == 11
     assert SturmChain(CUBIC).count_roots(-bound, bound) == 3
+
+
+def test_fujiwara_bound_is_a_power_of_two_above_a_root_at_a_power_of_two():
+    assert roots._fujiwara_bound([-8, 1]) == 16  # the root 8 = 2^3
+    assert roots._fujiwara_bound([1, 2]) == 1  # the root -1/2
+    assert roots._fujiwara_bound(CUBIC.q_coefficient_list()) == 16
+    assert roots._fujiwara_bound([0, 0, 3]) == 1  # a double root at 0
+
+
+powers_of_two = st.builds(
+    lambda sign, k: sign * Fraction(2) ** k, st.sampled_from([-1, 1]), st.integers(-10, 10)
+)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(rationals | powers_of_two, min_size=1, max_size=6),
+    st.integers(1, 2**70),
+)
+def test_fujiwara_bound_strictly_encloses_the_roots_of_products(zeros, lead):
+    product = poly(lead)
+    for z in zeros:
+        product = product * poly(-z.numerator, z.denominator)
+    bound = roots._fujiwara_bound(product.q_coefficient_list())
+    k = bound.numerator.bit_length() - bound.denominator.bit_length()
+    assert bound == Fraction(2) ** k
+    assert all(abs(z) < bound for z in zeros)
 
 
 # -- root isolation ----------------------------------------------------------------
@@ -384,10 +411,22 @@ quadratic_factors = st.tuples(
 @example([(5, 7), (3, 1), (-2, 0, 10**16)])  # 1/L lies below 2^-40 as well
 @example([(3, 1), (3, 1), (-2, 0, 1)])  # not squarefree
 @example([(1, 1), (-2, 0, 3)])  # the root -1 is a split point and a cell's open end
+@example([(-1, 1), (-(10**9 + 1), 10**9)])  # near-double: 1 and 1 + 10^-9
+@example([(10**12 - 2, -2 * 10**12, 10**12)])  # near-double: 1 -+ sqrt(2) 10^-6
+@example([(5, 1), (-3, 0, 1)])  # the root -5 is a grid point at depth 5 (B = 16)
+@example([(-1, 1), (3, 1)])  # both roots are grid points (B = 4)
+@example([(1, 0, 1)])  # a complex pair and nothing else
+@example([(2, 2, 1), (-2, 0, 1), (3, 1)])  # a complex pair beside real roots
 def test_isolation_matches_the_fraction_bisection(factors):
     product = poly(1)
     for factor in factors:
         product = product * poly(*factor)
+    assert_isolation_matches_the_reference(product)
+
+
+def assert_isolation_matches_the_reference(product):
+    """The Sturm route, the certified route and ``isolate_roots`` all give
+    what the Fraction bisection gives, at every tolerance."""
     coeffs = product.q_coefficient_list()
     for tolerance in TOLERANCES:
         try:
@@ -397,10 +436,113 @@ def test_isolation_matches_the_fraction_bisection(factors):
                 isolate_roots(product, tolerance)
             continue
         assert roots._isolate(coeffs, tolerance) == expected
+        assert roots._isolate(coeffs, tolerance, roots._approximations(coeffs)) == expected
         exact, boxes, _ = expected
         assert isolate_roots(product, tolerance) == (
             tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
         )
+
+
+def count_sturm_chains(monkeypatch):
+    """A list that gets one entry per Sturm chain ``roots`` builds from now on."""
+    built = []
+
+    class Counted(SturmChain):
+        def __init__(self, poly):
+            built.append(poly)
+            super().__init__(poly)
+
+    monkeypatch.setattr(roots, "SturmChain", Counted)
+    return built
+
+
+@pytest.mark.parametrize("r, n", [(2, 7), (1, 4)])
+def test_isolation_deflates_the_root_minus_one_and_certifies_again(monkeypatch, r, n):
+    # eulerian(2, 7) and eulerian(1, 4) have the root -1: the first pass
+    # finds it, and the second runs on the approximations left over
+    product = eulerian_from_exc(r, n)
+    coeffs = product.q_coefficient_list()
+    k = next(i for i, c in enumerate(coeffs) if c)
+    product = poly(*coeffs[k:])
+    assert -1 in isolate_roots(product)[0]
+    built = count_sturm_chains(monkeypatch)
+    assert_isolation_matches_the_reference(product)
+    # only the Sturm route, once per pass and tolerance, built chains
+    assert len(built) == 2 * len(TOLERANCES)
+
+
+def test_certified_isolation_builds_no_sturm_chain(monkeypatch):
+    coeffs = exc_derangement_poly(3, 8).q_coefficient_list()[1:]
+    exact, boxes, _ = roots._isolate(coeffs, DEFAULT_TOLERANCE)
+    built = count_sturm_chains(monkeypatch)
+    assert isolate_roots(poly(*coeffs)) == (tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes))
+    assert built == []
+
+
+# Each way out of the certified route gives the reference output exactly.
+
+FALLBACK_CASES = (
+    exc_derangement_poly(3, 6).q_coefficient_list()[1:],
+    poly(-6, -2, 3, 1).q_coefficient_list(),  # (x^2 - 2)(x + 3)
+    (poly(5, 1) * poly(-3, 0, 1)).q_coefficient_list(),
+)
+
+
+def good_approximations(coeffs):
+    return next(xs for xs in roots._approximations(coeffs) if xs)
+
+
+def test_isolation_falls_back_to_sturm_when_the_approximations_fail(monkeypatch):
+    def fail(coeffs, num, *rest):
+        if num is float:
+            raise OverflowError("out of float range")
+        return None  # a run that did not settle
+
+    monkeypatch.setattr(roots, "_laguerre", fail)
+    built = count_sturm_chains(monkeypatch)
+    for coeffs in FALLBACK_CASES:
+        assert list(roots._approximations(coeffs)) == [None]
+        assert roots._isolate(coeffs, DEFAULT_TOLERANCE, roots._approximations(coeffs)) == (
+            reference_isolate(coeffs, DEFAULT_TOLERANCE)
+        )
+    assert len(built) == 5  # one per pass: two cases deflate a rational root first
+
+
+def test_isolation_falls_back_to_sturm_when_the_signs_do_not_alternate(monkeypatch):
+    built = count_sturm_chains(monkeypatch)
+    for coeffs in FALLBACK_CASES:
+        # increasing and distinct, but all left of the roots
+        bunched = [Fraction(-100 + i) for i in range(len(coeffs) - 1)]
+        assert roots._certificate(coeffs, roots._cauchy_bound(coeffs), [bunched]) is None
+        assert roots._isolate(coeffs, DEFAULT_TOLERANCE, [bunched]) == (
+            reference_isolate(coeffs, DEFAULT_TOLERANCE)
+        )
+    assert len(built) == 5  # one per pass: two cases deflate a rational root first
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_isolation_recovers_from_jumps_that_miss(monkeypatch, newton):
+    # approximations shifted by 2^-20 still certify, but name cells 2^-40
+    # wide a long way from the roots: a miss is refined by Newton steps,
+    # or without them bisected
+    steps = {"_newton": [], "_narrow": []}
+    for name, calls in steps.items():
+        real = getattr(roots, name)
+        monkeypatch.setattr(
+            roots, name, lambda *args, real=real, calls=calls: calls.append(1) or real(*args)
+        )
+    if not newton:
+        monkeypatch.setattr(roots, "_newton", lambda *args: steps["_newton"].append(1))
+    built = count_sturm_chains(monkeypatch)
+    for coeffs in FALLBACK_CASES:
+        shifted = [x + Fraction(1, 2**20) for x in good_approximations(coeffs)]
+        assert roots._certificate(coeffs, roots._cauchy_bound(coeffs), [shifted])
+        assert roots._isolate(coeffs, DEFAULT_TOLERANCE, [shifted]) == (
+            reference_isolate(coeffs, DEFAULT_TOLERANCE)
+        )
+    assert built == []
+    assert steps["_newton"]
+    assert bool(steps["_narrow"]) is not newton
 
 
 def test_isolation_json_shape():
@@ -516,6 +658,19 @@ def test_interlacing_certifies_constructed_alternation(a, b, c):
     lo, mid, hi = -(a + b + c), -(a + b), -a
     report = verify_interlacing(linear_product([mid]), linear_product([lo, hi]))
     assert report["verdict"] == "pass", report["detail"]
+
+
+def test_interlacing_builds_each_sturm_chain_once(monkeypatch):
+    # the negativity checks build the chains, and the bisection reuses them
+    built = count_sturm_chains(monkeypatch)
+    counted = []
+    real = SturmChain.count_roots
+    monkeypatch.setattr(
+        SturmChain, "count_roots", lambda self, *ends: counted.append(1) or real(self, *ends)
+    )
+    report = verify_interlacing(exc_derangement_poly(3, 6), exc_derangement_poly(3, 7))
+    assert report["verdict"] == "pass", report["detail"]
+    assert len(built) == len(counted) == 2
 
 
 def test_exc_family_interlaces():
