@@ -20,12 +20,13 @@ json`` prints, certify
 Bisection works on integer cells of a dyadic grid on (-B, B] and makes
 ``Fraction`` ends only for what it reports.  One bisection, ``_cells``,
 splits cells until each holds one root of one polynomial, counting the
-roots in a cell from ranks at its ends; a box then keeps the half where
-its polynomial changes sign.  A rational root of a primitive polynomial
-is a multiple of 1/L, L its leading coefficient, so a one-root cell
-narrower than 1/L has one candidate, tested by its exact sign and
-deflated out before any cell is narrowed to the tolerance; the rule
-holds at every coefficient size.
+roots in a cell from ranks at its ends.  Each such cell is narrowed
+once, to be no wider than the tolerance and narrower than 1/L, L the
+leading coefficient; a box is read off as an ancestor of that cell.  A
+rational root of a primitive polynomial is a multiple of 1/L, so the
+narrowed cell has one candidate, tested by its exact sign and deflated
+out before a pass returns boxes; the rule holds at every coefficient
+size.
 
 Isolation and the two certificates reach their verdicts by separate
 routes.  Isolation bisects the grid of the Cauchy bound and takes its
@@ -150,6 +151,7 @@ class SturmChain:
         self.chain = tuple(chain)
 
     def variations_at(self, x):
+        x = Fraction(x)  # exact for int, float and Fraction ends
         return _variations_at(self.chain, x.numerator, x.denominator)
 
     def count_roots(self, low, high):
@@ -267,17 +269,17 @@ def _newton(work, x, fine):
 
 
 def _jump(work, cell, fine, x):
-    """``_narrow`` in one step: (the cell at denominator ``fine`` that holds x, x).
+    """``_narrow`` in one step: the cell at denominator ``fine`` that holds x.
 
     That cell holds the root when ``work`` vanishes at its right end or
     changes sign between its ends, since the one-root cell it lies in
     has no other root.  On a miss x is refined by an exact Newton step
     and the jump tried again, twice; after that the cell is bisected.
-    The x returned is the last one tried.
+    ``_isolate`` jumps once per root and reads the box off as an ancestor.
     """
     a, b, w, sign_b = cell
     if w >= fine or a == b:
-        return cell, x
+        return cell
     scale, width = fine // w, b - a
     for _ in range(3):
         # the cells (lo + j width, lo + (j + 1) width] at denominator fine
@@ -288,18 +290,22 @@ def _jump(work, cell, fine, x):
         hi = lo + width
         sign_hi = sign_b if j == scale - 1 else _sign_at(work, hi, fine)
         if sign_hi == 0 or _sign_at(work, lo, fine) == -sign_hi:
-            return (lo, hi, fine, sign_hi), x
-        refined = _newton(work, x, fine)
-        if refined is None:
+            return lo, hi, fine, sign_hi
+        x = _newton(work, x, fine)
+        if x is None:
             break
-        x = refined
-    return _narrow(work, cell, fine), x
+    return _narrow(work, cell, fine)
 
 
-def _box(cell):
-    """A cell as (lo, hi, sign at hi) with ``Fraction`` ends."""
-    a, b, w, sign_b = cell
-    return Fraction(a, w), Fraction(b, w), sign_b
+def _box(a, w, depth, bn, bd):
+    """(lo, hi): the ancestor at denominator ``depth`` <= w of the grid cell from a / w.
+
+    Cells at w = bd 2^k start at -bn 2^k + j 2 bn, so its j is the cell's
+    j shifted right by log2(w / depth): integer arithmetic alone.
+    """
+    scale, origin = w // depth, bn * (depth // bd)
+    lo = (a + origin * scale) // (2 * bn * scale) * 2 * bn - origin
+    return Fraction(lo, depth), Fraction(lo + 2 * bn, depth)
 
 
 def _sturm_ranks(chains):
@@ -477,16 +483,17 @@ def _certified_ranks(work, points, signs):
 
 
 def _isolate(work, tolerance, candidates=()):
-    """Exact roots, boxes (lo, hi, sign at hi), and ``work`` deflated.
+    """(exact_roots, boxes): sorted tuples of ``Fraction`` roots and (lo, hi) pairs.
 
     A pass takes the one-root cells of ``work`` from ``_cells`` on the
     grid of its Cauchy bound B = bn / bd, so width tests compare w with
     integers.  A root p/q of the primitive ``work`` has q | L, its
     leading coefficient, so a one-root cell (a, b] narrower than 1/L
-    holds no rational root but floor(L b) / L.  A pass narrows one-root
-    cells that far, tests those candidates and deflates the roots found
-    before the next pass; only a pass that finds none narrows its boxes
-    to the tolerance.
+    holds no rational root but floor(L b) / L.  A pass narrows each
+    one-root cell once, past 1/L and the tolerance, tests its candidate
+    and reads its box off as the ancestor at w = max(w of the one-root
+    cell, fine).  The roots found are deflated before the next pass;
+    only a pass that finds none returns its boxes.
 
     A pass counts roots and narrows cells in one of two ways.  If one of
     ``candidates`` (lists of root approximations, see ``_approximations``)
@@ -510,40 +517,33 @@ def _isolate(work, tolerance, candidates=()):
             fine *= 2
         while coarse <= 2 * bn * lead:
             coarse *= 2
+        deep = max(fine, coarse)
         certified = _certificate(work, bound, candidates)
         if certified:
             xs, ranks = certified
-
-            def narrow(k, cell, w):
-                cell, xs[k] = _jump(work, cell, w, xs[k])
-                return cell
-
         else:
             chain = SturmChain(BivariatePolynomial.from_q_coefficients(work)).chain
             ranks = _sturm_ranks([chain])
-
-            def narrow(k, cell, w):
-                return _narrow(work, cell, w)
-
         boxes, found = [], {}
         # one root to a cell, so the k-th cell holds the k-th root
         for k, (_, (a, b, w)) in enumerate(_cells(ranks, bn, bd)):
-            box = narrow(k, (a, b, w, _sign_at(work, b, w)), min(fine, coarse))
-            a, b, w, _ = narrow(k, box, coarse)
+            depth = max(w, fine)
+            cell = a, b, w, _sign_at(work, b, w)
+            cell = _jump(work, cell, deep, xs[k]) if certified else _narrow(work, cell, deep)
+            a, b, w, _ = cell
             p = b * lead // w
             # a candidate at or left of the open end may be another cell's root
             if (a == b or a * lead < p * w) and _sign_at(work, p, lead) == 0:
                 found[k] = Fraction(p, lead)
             else:
-                boxes.append((k, box))
+                boxes.append(_box(a, w, depth, bn, bd))
         if not found:
-            boxes = sorted(_box(narrow(k, box, fine)) for k, box in boxes)
-            return sorted(exact), boxes, work
+            return tuple(sorted(exact)), tuple(boxes)
         for root in found.values():
             exact.append(root)
             work = _deflate(work, root)
         candidates = [[x for k, x in enumerate(xs) if k not in found]] if certified else ()
-    return sorted(exact), [], work
+    return tuple(sorted(exact)), ()
 
 
 def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
@@ -567,8 +567,7 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     original = _coefficients(poly)
     if not original:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    exact, boxes, _ = _isolate(original, tolerance, _approximations(original))
-    return tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
+    return _isolate(original, tolerance, _approximations(original))
 
 
 # -- verification reports -------------------------------------------------------
@@ -583,19 +582,19 @@ def _shift_down(coeffs, k):
     return BivariatePolynomial.from_q_coefficients(coeffs[k:])
 
 
-def verify_negative_distinct(poly, allow_zero_root=True):
+def verify_negative_distinct(poly):
     """Certify: roots all real, pairwise distinct, and negative.
 
-    A single root at zero is tolerated (and reported) when
-    ``allow_zero_root`` is set: the derangement excedance polynomials
-    pick one up whenever the cyclic group is trivial.  The report is a
+    A single root at zero is tolerated (and reported): the derangement
+    excedance polynomials pick one up whenever the cyclic group is
+    trivial.  The report is a
     dict: passed, detail, degree (-1 for the zero polynomial),
     zero_root_multiplicity and negative_roots.
     """
-    return _negative_distinct(_coefficients(poly), allow_zero_root)[0]
+    return _negative_distinct(_coefficients(poly))[0]
 
 
-def _negative_distinct(p, allow_zero_root):
+def _negative_distinct(p):
     """(report, chain): ``verify_negative_distinct`` on the coefficients p.
 
     ``chain`` is the ``SturmChain`` the report counted with, or None
@@ -612,7 +611,7 @@ def _negative_distinct(p, allow_zero_root):
     chain = None
     if not p:
         return report, chain
-    if k > (1 if allow_zero_root else 0):
+    if k > 1:
         report["detail"] = f"root at zero has multiplicity {k}"
     elif degree == k:
         report.update(passed=True, detail="no roots besides the reported zero root")
@@ -673,7 +672,7 @@ def verify_interlacing(smaller, larger):
     ps, pl = ps[ks:], pl[kl:]
     chains = []
     for name, p in (("smaller", ps), ("larger", pl)):
-        report, chain = _negative_distinct(p, allow_zero_root=False)
+        report, chain = _negative_distinct(p)
         if not report["passed"]:
             return _interlacing("fail", f"{name} polynomial: {report['detail']}")
         chains.append(chain)

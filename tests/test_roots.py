@@ -61,6 +61,16 @@ def test_sturm_interval_is_half_open():
         chain.count_roots(Fraction(1), Fraction(1))
 
 
+@pytest.mark.parametrize("low, high", [(-5, -2), (-4.5, 0.5), (-2, 1), (-6, 0.25)])
+def test_sturm_counts_the_same_at_int_float_and_fraction_ends(low, high):
+    # the roots of CUBIC are -5, -2 and 1; floats convert exactly
+    chain = SturmChain(CUBIC)
+    expected = chain.count_roots(Fraction(low), Fraction(high))
+    assert chain.count_roots(low, high) == expected
+    assert chain.count_roots(float(low), float(high)) == expected
+    assert chain.count_roots(None, float(high)) == chain.count_roots(None, Fraction(high))
+
+
 def test_sturm_rejects_repeated_roots():
     with pytest.raises(NotSquarefreeError):
         SturmChain(poly(1, 2, 1))  # (x + 1)^2
@@ -349,7 +359,7 @@ def _fraction_halve(work, lo, hi, sign_hi):
 
 
 def reference_isolate(work, tolerance):
-    """(exact roots, boxes (lo, hi, sign at hi), deflated work) by Fraction bisection."""
+    """(exact roots, boxes (lo, hi)) as sorted tuples, by Fraction bisection."""
     exact = []
     while len(work) > 1:
         chain = SturmChain(BivariatePolynomial.from_q_coefficients(work))
@@ -366,7 +376,7 @@ def reference_isolate(work, tolerance):
             if count == 1:
                 while b - a > tolerance:
                     a, b, sign_b = _fraction_halve(work, a, b, sign_b)
-                box = a, b, sign_b
+                box = a, b
                 while (b - a) * lead >= 1:
                     a, b, sign_b = _fraction_halve(work, a, b, sign_b)
                 root = Fraction(floor(b * lead), lead)
@@ -387,11 +397,11 @@ def reference_isolate(work, tolerance):
             if count - left:
                 pending.append((mid, b, sign_b, count - left, at_mid))
         if not found:
-            return sorted(exact), sorted(boxes), work
+            return tuple(sorted(exact)), tuple(sorted(boxes))
         for root in found:
             exact.append(root)
             work = roots._deflate(work, root)
-    return sorted(exact), [], work
+    return tuple(sorted(exact)), ()
 
 
 TOLERANCES = (Fraction(1, 2**40), Fraction(1, 2**60), 1, 2, Fraction(1, 8), Fraction(3, 7))
@@ -437,10 +447,7 @@ def assert_isolation_matches_the_reference(product):
             continue
         assert roots._isolate(coeffs, tolerance) == expected
         assert roots._isolate(coeffs, tolerance, roots._approximations(coeffs)) == expected
-        exact, boxes, _ = expected
-        assert isolate_roots(product, tolerance) == (
-            tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes)
-        )
+        assert isolate_roots(product, tolerance) == expected
 
 
 def count_sturm_chains(monkeypatch):
@@ -473,10 +480,32 @@ def test_isolation_deflates_the_root_minus_one_and_certifies_again(monkeypatch, 
 
 def test_certified_isolation_builds_no_sturm_chain(monkeypatch):
     coeffs = exc_derangement_poly(3, 8).q_coefficient_list()[1:]
-    exact, boxes, _ = roots._isolate(coeffs, DEFAULT_TOLERANCE)
+    expected = roots._isolate(coeffs, DEFAULT_TOLERANCE)
     built = count_sturm_chains(monkeypatch)
-    assert isolate_roots(poly(*coeffs)) == (tuple(exact), tuple((lo, hi) for lo, hi, _ in boxes))
+    assert isolate_roots(poly(*coeffs)) == expected
     assert built == []
+
+
+def count_calls(monkeypatch, name):
+    """A list that gets one entry per call of ``roots.<name>`` from now on."""
+    calls = []
+    real = getattr(roots, name)
+    monkeypatch.setattr(roots, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_isolation_narrows_each_root_once(monkeypatch):
+    # exc(3, 8) without its zero root has no rational root, so one pass
+    # makes every box: one jump on the certified route, one bisection run
+    # on the Sturm route, for each
+    coeffs = exc_derangement_poly(3, 8).q_coefficient_list()[1:]
+    jumps = count_calls(monkeypatch, "_jump")
+    exact, boxes = roots._isolate(coeffs, DEFAULT_TOLERANCE, roots._approximations(coeffs))
+    assert exact == () and len(boxes) == len(coeffs) - 1
+    assert len(jumps) == len(boxes)
+    narrowings = count_calls(monkeypatch, "_narrow")
+    assert roots._isolate(coeffs, DEFAULT_TOLERANCE) == (exact, boxes)
+    assert len(narrowings) == len(boxes)
 
 
 # Each way out of the certified route gives the reference output exactly.
@@ -525,12 +554,7 @@ def test_isolation_recovers_from_jumps_that_miss(monkeypatch, newton):
     # approximations shifted by 2^-20 still certify, but name cells 2^-40
     # wide a long way from the roots: a miss is refined by Newton steps,
     # or without them bisected
-    steps = {"_newton": [], "_narrow": []}
-    for name, calls in steps.items():
-        real = getattr(roots, name)
-        monkeypatch.setattr(
-            roots, name, lambda *args, real=real, calls=calls: calls.append(1) or real(*args)
-        )
+    steps = {name: count_calls(monkeypatch, name) for name in ("_newton", "_narrow")}
     if not newton:
         monkeypatch.setattr(roots, "_newton", lambda *args: steps["_newton"].append(1))
     built = count_sturm_chains(monkeypatch)
@@ -581,9 +605,6 @@ def test_negativity_tolerates_one_zero_root():
     assert report["passed"]
     assert report["zero_root_multiplicity"] == 1
     assert report["negative_roots"] == 2
-    strict = verify_negative_distinct(p, allow_zero_root=False)
-    assert not strict["passed"]
-    assert "multiplicity 1" in strict["detail"]
 
 
 def test_negativity_failure_modes():
