@@ -21,6 +21,7 @@ from math import comb, factorial
 
 from .polynomials import (
     BivariatePolynomial,
+    _Image,
     q_factorial,
     q_integer,
     t_bracket,
@@ -188,51 +189,64 @@ def group_qt_bruteforce(r, n, order=STANDARD, bound=None):
 def qt_derangement_formula(r, n):
     """[r]_t^n [n]_q! sum_i (-1)^i q^C(i,2) / ([r]_t^i [i]_q!).
 
-    The i-th quotient is the previous one divided by [r]_t and then by
-    [i]_q, each an exact division in Z[q,t] with its remainder checked, so
-    together they divide by [r]_t^i [i]_q!; a residue would signal an
-    identity violation and raises InexactDivisionError.
+    The i-th quotient is T_i F_i, with T_i = T_(i-1) / [r]_t from [r]_t^n
+    and F_i = F_(i-1) / [i]_q from [n]_q!: exact divisions with their
+    remainders checked, where a residue would signal an identity violation
+    and raises InexactDivisionError.  The terms are summed as products of
+    images, sized by sum_i |T_i|_1 |F_i|_1.
     """
     _require_r(r)
     _require_n(n)
     bracket = t_bracket(r)
-    quotient = bracket**n * q_factorial(n)
-    total = quotient
+    powers, factorials = [bracket**n], [q_factorial(n)]
     for i in range(1, n + 1):
-        quotient = quotient.exact_div(bracket).exact_div(q_integer(i))
-        total = total + BivariatePolynomial.monomial((-1) ** i, comb(i, 2)) * quotient
-    return total
+        powers.append(powers[-1].exact_div(bracket))
+        factorials.append(factorials[-1].exact_div(q_integer(i)))
+    bound = sum(_Image.norm(power) * _Image.norm(f) for power, f in zip(powers, factorials))
+    image = _Image(bound, comb(n, 2) + 1)
+    total = 0
+    for i, (power, f) in enumerate(zip(powers, factorials)):
+        term = image.of(power) * image.of(f) << image.q_bits * comb(i, 2)
+        total += -term if i % 2 else term
+    return image.read(total)
 
 
 def qt_derangement_two_term(r, n):
-    """d_n = ([r]_t [n]_q - q^{n-1}) d_{n-1} + q^{n-1} [r]_t [n-1]_q d_{n-2}."""
+    """d_n = ([r]_t [n]_q - q^{n-1}) d_{n-1} + q^{n-1} [r]_t [n-1]_q d_{n-2}.
+
+    From d_{-1} = 0 and d_0 = 1, on images sized by the L1 bound
+    M_k = (rk + 1) M_{k-1} + r(k-1) M_{k-2}, as
+    [r]_t ([k]_q d_{k-1} + q^{k-1} [k-1]_q d_{k-2}) - q^{k-1} d_{k-1}.
+    """
     _require_r(r)
     _require_n(n)
-    bracket = t_bracket(r)
-    if n == 0:
-        return BivariatePolynomial.one()
-    prev_prev = BivariatePolynomial.one()
-    prev = bracket - 1
-    for k in range(2, n + 1):
-        q_power = BivariatePolynomial.monomial(1, k - 1)
-        current = (bracket * q_integer(k) - q_power) * prev + (
-            q_power * bracket * q_integer(k - 1)
-        ) * prev_prev
+    bound_prev, bound = 0, 1
+    for k in range(1, n + 1):
+        bound_prev, bound = bound, (r * k + 1) * bound + r * (k - 1) * bound_prev
+    image = _Image(bound, comb(n, 2) + 1)
+    prev_prev, prev = 0, 1
+    for k in range(1, n + 1):
+        shift = image.q_bits * (k - 1)
+        current = image.times_bracket(
+            prev * image.q_integer(k) + (prev_prev * image.q_integer(k - 1) << shift), r
+        ) - (prev << shift)
         prev_prev, prev = prev, current
-    return prev
+    return image.read(prev)
 
 
 def qt_derangement_one_term(r, n):
-    """d_n = [r]_t [n]_q d_{n-1} + (-1)^n q^C(n,2)."""
+    """d_n = [r]_t [n]_q d_{n-1} + (-1)^n q^C(n,2), on images sized by M_k = rk M_{k-1} + 1."""
     _require_r(r)
     _require_n(n)
-    bracket = t_bracket(r)
-    value = BivariatePolynomial.one()
+    bound = 1
     for k in range(1, n + 1):
-        value = bracket * q_integer(k) * value + BivariatePolynomial.monomial(
-            (-1) ** k, comb(k, 2)
-        )
-    return value
+        bound = r * k * bound + 1
+    image = _Image(bound, comb(n, 2) + 1)
+    value = 1
+    for k in range(1, n + 1):
+        sign = (-1) ** k << image.q_bits * comb(k, 2)
+        value = image.times_bracket(value * image.q_integer(k), r) + sign
+    return image.read(value)
 
 
 def qt_derangement_bruteforce(r, n, order=STANDARD, bound=None):

@@ -8,7 +8,8 @@ integer coefficient lists of t-free members, the Sturm chains in
 ``roots``.  Large products go through Kronecker substitution: both
 operands are packed into single Python integers, so the work is done by
 CPython's integer multiplication (Karatsuba).  Exact division is dense
-long division with its remainder checked.
+long division with its remainder checked.  A route may also run whole on
+integer images (``_Image``) and read its result off once, at the end.
 
 Plus the classical q-analogs: q-integers, q-factorials, the t-bracket
 [r]_t and Gaussian binomial coefficients.
@@ -97,6 +98,44 @@ def _unpack(value, slots, k):
     half = 1 << (8 * k - 1)
     from_bytes = int.from_bytes
     return [from_bytes(data[i : i + k], "little") - half for i in range(0, k * slots, k)]
+
+
+class _Image:
+    """Z[q,t] -> Z by q -> X = 2^(8k), t -> X^width: ring homomorphisms, so
+    a whole computation on images is exact.  A result of q-degree below
+    ``width`` and coefficients of magnitude at most ``bound``, below X / 2
+    (``_slot_bytes``), is read off the signed digits of its image, once.
+    """
+
+    def __init__(self, bound, width):
+        self.k, self.width = _slot_bytes(bound.bit_length()), width
+        self.q_bits = 8 * self.k  # shifting left by q_bits * e multiplies by q^e
+        self.t_bits = self.q_bits * width
+
+    @staticmethod
+    def norm(poly):
+        """|poly|_1, the sum of |coefficients|; |a b|_1 <= |a|_1 |b|_1 sizes a slot."""
+        return sum(map(abs, poly._c))
+
+    def q_integer(self, i):
+        """The image (X^i - 1) / (X - 1) of [i]_q."""
+        return ((1 << self.q_bits * i) - 1) // ((1 << self.q_bits) - 1)
+
+    def times_bracket(self, value, r):
+        """value * [r]_t, by r - 1 shifted adds."""
+        return sum(value << self.t_bits * j for j in range(r))
+
+    def of(self, poly):
+        """The image of ``poly``, whose q-degree must lie below ``width``."""
+        c, w = poly._c, poly._w
+        rows = [_pack(c[s : s + w], w, w, self.k) for s in range(0, len(c), w or 1)]
+        return sum(row << self.t_bits * j for j, row in enumerate(rows))
+
+    def read(self, value):
+        """The polynomial whose image is ``value``."""
+        # a top digit in row R makes |value| > X^(R * width) / 2
+        c = _unpack(value, (abs(value).bit_length() // self.t_bits + 1) * self.width, self.k)
+        return BivariatePolynomial._of(*_canonical(c, self.width))
 
 
 #: schoolbook steps (one multiply-add each) that cost as much as packing
@@ -306,6 +345,8 @@ class BivariatePolynomial:
         return other._combine(self, sub)
 
     def __mul__(self, other):
+        if isinstance(other, int):  # scaling: _canonical trims a product by 0
+            return BivariatePolynomial._of(*_canonical([other * x for x in self._c], self._w))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -156,6 +156,24 @@ def test_poly_json_is_byte_identical_on_the_golden_grid():
     assert digest.hexdigest() == POLY_JSON_SHA256
 
 
+#: sha256 of single ``poly --kind qt-derangement --format json`` runs at the
+#: benchmark's largest q,t cells, printed while the routes still ran their
+#: step loops over ``BivariatePolynomial``
+POLY_QT_JSON_SHA256 = {
+    (3, 14): "25effedb23beee410a9e9ad04666f53bf1aa32d344d3eff6dfb7342e3ea29da0",
+    (2, 14): "53f0922f28feab7e9bafb38e968edb1f8d5286abf7a58de1f18be5503096d1b7",
+}
+
+
+@pytest.mark.parametrize("r, n", sorted(POLY_QT_JSON_SHA256))
+def test_poly_qt_json_is_byte_identical_past_the_grid(r, n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["poly", "--kind", "qt-derangement", "--r", str(r), "--n", str(n)]
+        assert cli.main(argv + ["--format", "json"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == POLY_QT_JSON_SHA256[r, n]
+
+
 # sha256 of the output of each command, fixed before the enumeration and
 # tally paths were merged
 ENUMERATION_GOLDEN_SHA256 = {

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +34,14 @@ from cyclic_derangements.counting import (
     qt_derangement_two_term,
     reference_discrepancies,
 )
-from cyclic_derangements.polynomials import BivariatePolynomial
+from cyclic_derangements.polynomials import (
+    BivariatePolynomial,
+    InexactDivisionError,
+    _Image,
+    q_factorial,
+    q_integer,
+    t_bracket,
+)
 from cyclic_derangements.series import coefficient_as_polynomial
 from cyclic_derangements.wreath import ALTERNATE, STANDARD, group_order
 
@@ -137,6 +145,91 @@ def test_qt_routes_agree(r, n):
     assert qt_derangement_two_term(r, n) == expected
     assert qt_derangement_one_term(r, n) == expected
     assert expected.evaluate(1, 1) == derangement_count(r, n)
+
+
+# -- the q,t routes as step loops over BivariatePolynomial ------------------------
+#
+# The routes compute on integer images and read the result off once; these
+# are the loops they replaced, kept as references.
+
+
+def reference_qt_formula(r, n):
+    bracket = t_bracket(r)
+    quotient = bracket**n * q_factorial(n)
+    total = quotient
+    for i in range(1, n + 1):
+        quotient = quotient.exact_div(bracket).exact_div(q_integer(i))
+        total = total + BivariatePolynomial.monomial((-1) ** i, comb(i, 2)) * quotient
+    return total
+
+
+def reference_qt_two_term(r, n):
+    bracket = t_bracket(r)
+    if n == 0:
+        return BivariatePolynomial.one()
+    prev_prev, prev = BivariatePolynomial.one(), bracket - 1
+    for k in range(2, n + 1):
+        q_power = BivariatePolynomial.monomial(1, k - 1)
+        current = (bracket * q_integer(k) - q_power) * prev + (
+            q_power * bracket * q_integer(k - 1)
+        ) * prev_prev
+        prev_prev, prev = prev, current
+    return prev
+
+
+def reference_qt_one_term(r, n):
+    bracket = t_bracket(r)
+    value = BivariatePolynomial.one()
+    for k in range(1, n + 1):
+        value = bracket * q_integer(k) * value + BivariatePolynomial.monomial(
+            (-1) ** k, comb(k, 2)
+        )
+    return value
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_qt_routes_equal_their_step_loops(r):
+    for n in range(15):
+        assert qt_derangement_formula(r, n) == reference_qt_formula(r, n), (r, n)
+        assert qt_derangement_two_term(r, n) == reference_qt_two_term(r, n), (r, n)
+        assert qt_derangement_one_term(r, n) == reference_qt_one_term(r, n), (r, n)
+
+
+def test_images_read_back_signed_coefficients_at_the_bound():
+    for bound in (1, 127, 128, 255, 2**70):
+        for width in (1, 2, 5):
+            image = _Image(bound, width)
+            rows = {(k % width, k // width): (-1) ** k * bound for k in range(3 * width)}
+            for poly in (
+                BivariatePolynomial.zero(),
+                BivariatePolynomial.constant(-bound),
+                BivariatePolynomial.monomial(bound, width - 1, 2),
+                BivariatePolynomial.monomial(-bound, width - 1) + BivariatePolynomial.t(),
+                BivariatePolynomial(rows),
+            ):
+                assert image.read(image.of(poly)) == poly, (bound, width, poly)
+
+
+def test_image_operations_match_polynomial_ones():
+    image = _Image(10**6, 12)
+    a = BivariatePolynomial({(0, 0): 3, (2, 1): -5, (4, 0): 1})
+    for i in range(12):
+        assert image.q_integer(i) == image.of(q_integer(i))
+    assert image.read(image.times_bracket(image.of(a), 3)) == a * t_bracket(3)
+    assert image.read(image.of(a) * image.of(a - 2)) == a * (a - 2)
+    assert image.read(image.of(a) << image.q_bits * 3) == a * BivariatePolynomial.monomial(1, 3)
+    assert _Image.norm(a) == 9 and _Image.norm(-a) == 9
+
+
+def test_formula_still_divides_with_its_remainder_checked(monkeypatch):
+    # a divisor that does not divide [n]_q! / [i-1]_q! must raise, not be
+    # folded into an image where no remainder is seen
+    monkeypatch.setattr(
+        counting, "q_integer", lambda i: q_integer(i) + BivariatePolynomial.monomial(1, i)
+    )
+    with pytest.raises(InexactDivisionError):
+        qt_derangement_formula(2, 4)
+    assert qt_derangement_one_term(2, 4) == reference_qt_one_term(2, 4)
 
 
 def test_qt_brute_force():

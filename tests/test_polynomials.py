@@ -48,6 +48,15 @@ def test_arithmetic_known_product():
     ]
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 2**70, -(2**70)])
+def test_int_scaling_equals_the_constant_product(c):
+    q, t = BivariatePolynomial.q(), BivariatePolynomial.t()
+    constant = BivariatePolynomial.constant(c)
+    for poly in (BivariatePolynomial.zero(), 3 - q * t**2, (q - 2 * t) ** 4):
+        expected = BivariatePolynomial(reference_mul(dict(poly.terms()), {(0, 0): c}))
+        assert poly * c == c * poly == poly * constant == constant * poly == expected
+
+
 @given(bivariates(), bivariates(), bivariates())
 def test_ring_axioms(a, b, c):
     assert a + b == b + a
