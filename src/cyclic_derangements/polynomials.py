@@ -428,18 +428,9 @@ class BivariatePolynomial:
 
     def text(self):
         """Canonical human-readable form, ascending by (t, q) degree."""
-        pieces = []
-        for k, c in enumerate(self._c):
-            if not c:
-                continue
-            term = self._term_text(k % self._w, k // self._w, c)
-            if not pieces:
-                pieces.append(term)
-            elif term.startswith("-"):
-                pieces.append(f"- {term[1:]}")
-            else:
-                pieces.append(f"+ {term}")
-        return " ".join(pieces) if pieces else "0"
+        w = self._w
+        terms = [self._term_text(k % w, k // w, c) for k, c in enumerate(self._c) if c]
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
     def to_json(self):
         """Term list sorted by (q, t); coefficients as decimal strings."""

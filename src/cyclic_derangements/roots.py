@@ -29,20 +29,22 @@ out before a pass returns boxes; the rule holds at every coefficient
 size.
 
 Isolation and the two certificates reach their verdicts by separate
-routes.  Isolation bisects the grid of the Cauchy bound and takes its
-ranks from a sign-alternation certificate: Laguerre approximations of
-all roots, in floats or in ``decimal``, put points between the roots,
-and exact signs at those points prove the roots real and simple, one to
-a gap.  Each rank is then one sign, and each narrowing one jump to the
-cell an approximation names, checked by the signs at its ends.  Floats
-are never trusted: where the approximations fail or do not certify,
-isolation takes its ranks from Sturm counts instead, with the same
-cells.  Negativity is a Sturm count, and interlacing the order of the
-one-root cells of ``_cells`` over both polynomials' Sturm chains, on
-the grid of a power-of-two Fujiwara bound.  Both verdicts are exact
-("pass" or "fail").
+routes.  Isolation bisects the grid of the Cauchy bound under a
+sign-alternation certificate: Laguerre approximations of all roots, in
+floats or in ``decimal``, put points between the roots, and exact signs
+at those points prove the roots real and simple, one to a gap.  Each
+approximation first jumps to a deep grid cell inside its gap, checked
+by the signs at its ends; those cells are the narrowed cells, and they
+give every rank of the bisection with no sign.  Floats are never
+trusted: where the approximations fail or do not certify, or a jump
+fails, isolation takes its ranks from Sturm counts and narrows by
+bisection instead, with the same cells.  Negativity is a Sturm count,
+and interlacing the order of the one-root cells of ``_cells`` over both
+polynomials' Sturm chains, on the grid of a power-of-two Fujiwara
+bound.  Both verdicts are exact ("pass" or "fail").
 """
 
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, inf, sqrt
@@ -227,28 +229,23 @@ def _deflate(work, root):
     return out[-2::-1]
 
 
-def _bisect(work, cell):
-    """The half of a one-root cell that holds its root.
-
-    A cell (a, b, w, s) is the interval (a/w, b/w], w > 0, with s the sign
-    of ``work`` at b/w.  Its halves are (2a, a + b, 2w) and (a + b, 2b, 2w),
-    or the point (a + b, a + b, 2w, 0) if the midpoint is the root.
-    """
-    a, b, w, sign_b = cell
-    m, w = a + b, 2 * w
-    sign = _sign_at(work, m, w)
-    if sign == 0:
-        return m, m, w, 0
-    if sign == sign_b:
-        return 2 * a, m, w, sign
-    return m, 2 * b, w, sign_b
-
-
 def _narrow(work, cell, fine):
-    """Bisect a one-root cell until its denominator reaches ``fine`` or it is a point."""
-    while cell[2] < fine and cell[0] < cell[1]:
-        cell = _bisect(work, cell)
-    return cell
+    """Bisect a one-root cell until its denominator reaches ``fine`` or it is a point.
+
+    A cell (a, b, w) is the interval (a/w, b/w], w > 0.  Its halves are
+    (2a, a + b, 2w) and (a + b, 2b, 2w), or the point (a + b, a + b, 2w)
+    if the midpoint is the root.  The half kept holds the root, so its
+    right end keeps the sign of ``work`` at b/w, taken once.
+    """
+    a, b, w = cell
+    sign_b = _sign_at(work, b, w)
+    while w < fine:
+        m, w = a + b, 2 * w
+        sign = _sign_at(work, m, w)
+        if sign == 0:
+            return m, m, w
+        a, b = (2 * a, m) if sign == sign_b else (m, 2 * b)
+    return a, b, w
 
 
 def _newton(work, x, fine):
@@ -268,33 +265,39 @@ def _newton(work, x, fine):
     return Fraction((u * slope - value) * 4 * fine // (v * slope), 4 * fine)
 
 
-def _jump(work, cell, fine, x):
-    """``_narrow`` in one step: the cell at denominator ``fine`` that holds x.
+def _jump(work, gap, bn, bd, fine, x):
+    """The grid cell (lo, hi, w) that holds the one root in ``gap``, found from x; or None.
 
-    That cell holds the root when ``work`` vanishes at its right end or
-    changes sign between its ends, since the one-root cell it lies in
-    has no other root.  On a miss x is refined by an exact Newton step
-    and the jump tried again, twice; after that the cell is bisected.
-    ``_isolate`` jumps once per root and reads the box off as an ancestor.
+    ``gap`` is ((cu, cw), (du, dw)), the open interval (cu/cw, du/dw)
+    between two certificate points, which holds one root of ``work`` and
+    no other.  From w = ``fine`` the denominator doubles until the cell
+    of the grid on (-B, B], B = bn / bd, that holds x lies inside the
+    gap: integer comparisons, no sign.  That cell holds the root when
+    ``work`` vanishes at its right end or changes sign across it.  On a
+    miss x is refined by an exact Newton step and the jump tried again,
+    twice; None if x leaves the gap or the last try misses.
     """
-    a, b, w, sign_b = cell
-    if w >= fine or a == b:
-        return cell
-    scale, width = fine // w, b - a
+    (cu, cw), (du, dw) = gap
     for _ in range(3):
-        # the cells (lo + j width, lo + (j + 1) width] at denominator fine
-        # tile (a/w, b/w]; j is the one holding x, clamped to the tiles
-        lo, u, v = a * scale, x.numerator, x.denominator
-        j = min(max(-((lo * v - u * fine) // (width * v)) - 1, 0), scale - 1)
-        lo += j * width
-        hi = lo + width
-        sign_hi = sign_b if j == scale - 1 else _sign_at(work, hi, fine)
-        if sign_hi == 0 or _sign_at(work, lo, fine) == -sign_hi:
-            return lo, hi, fine, sign_hi
-        x = _newton(work, x, fine)
+        u, v = x.numerator, x.denominator
+        if not cu * v < u * cw or not u * dw < du * v:
+            return None
+        w = fine
+        while True:
+            # the cells at w are (lo, lo + 2 bn] with lo = -bn w / bd + 2 bn j
+            origin = bn * (w // bd)
+            lo = -((-u * w - origin * v) // (2 * bn * v)) * 2 * bn - 2 * bn - origin
+            hi = lo + 2 * bn
+            if cu * w <= lo * cw and hi * dw <= du * w:
+                break
+            w *= 2
+        sign_hi = _sign_at(work, hi, w)
+        if sign_hi == 0 or _sign_at(work, lo, w) == -sign_hi:
+            return lo, hi, w
+        x = _newton(work, x, w)
         if x is None:
-            break
-    return _narrow(work, cell, fine)
+            return None
+    return None
 
 
 def _box(a, w, depth, bn, bd):
@@ -311,6 +314,18 @@ def _box(a, w, depth, bn, bd):
 def _sturm_ranks(chains):
     """Ranks for ``_cells`` from Sturm chains: minus the variations at u / w."""
     return lambda u, w: [-_variations_at(chain, u, w) for chain in chains]
+
+
+def _jumped_ranks(cells):
+    """Ranks for ``_cells`` from one-root grid cells (a, b, w), disjoint and in order.
+
+    The rank at u / w is the number of cells whose right end is at or
+    left of it, compared as integers at the deepest w; it is exact where
+    w is no deeper and u / w lies inside no cell.
+    """
+    top = max(w for _, _, w in cells)
+    ends = [b * (top // w) for _, b, w in cells]
+    return lambda u, w: [bisect_right(ends, u * (top // w))]
 
 
 def _cells(ranks, bn, bd):
@@ -437,15 +452,13 @@ def _dyadic_between(x, y):
 
 
 def _certificate(work, bound, candidates):
-    """(approximations, ranks) from the first candidate list that certifies, or None.
+    """(approximations, points) from the first candidate list that certifies, or None.
 
     A list x_1 < ... < x_m for ``work`` of degree m gives the points
-    c_0 = -B < c_1 < ... < c_m = B, each c_i a dyadic between x_i and
-    x_(i+1).  If ``work`` changes sign between every two consecutive
-    points, it has a root in each of the m gaps, so its m roots are real,
-    simple and one to a gap.  Then the roots at or below a point g with
-    c_(i-1) <= g < c_i number i - 1, plus one if ``work`` vanishes at g or
-    has the sign it has at c_i: one sign instead of a Sturm chain.
+    c_0 = -B < c_1 < ... < c_m = B, each c_i a dyadic u / w between x_i
+    and x_(i+1), as pairs (u, w).  If ``work`` changes sign between every
+    two consecutive points, it has a root in each of the m gaps, so its m
+    roots are real, simple and one to a gap.
     """
     m = len(work) - 1
     bn, bd = bound.numerator, bound.denominator
@@ -457,29 +470,8 @@ def _certificate(work, bound, candidates):
             continue
         signs = [_sign_at(work, u, w) for u, w in points]
         if all(s and s == -t for s, t in zip(signs, signs[1:])):
-            return xs, _certified_ranks(work, points, signs)
+            return xs, points
     return None
-
-
-def _certified_ranks(work, points, signs):
-    """Ranks for ``_cells`` from a certificate, as ``_certificate`` counts them."""
-    m = len(points) - 1
-
-    def ranks(u, w):
-        lo, hi = 0, m + 1  # bisect for i, the number of points <= u / w
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c, d = points[mid]
-            if c * w <= u * d:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > m:
-            return [m]
-        sign = _sign_at(work, u, w)
-        return [lo - 1 + (sign == 0 or sign == signs[lo])]
-
-    return ranks
 
 
 def _isolate(work, tolerance, candidates=()):
@@ -497,12 +489,18 @@ def _isolate(work, tolerance, candidates=()):
 
     A pass counts roots and narrows cells in one of two ways.  If one of
     ``candidates`` (lists of root approximations, see ``_approximations``)
-    certifies, the counts come from one sign each (``_certificate``) and
-    each narrowing is one ``_jump`` to the cell the approximation names;
-    the next pass gets the approximations of the roots not deflated.
-    Otherwise the counts come from the Sturm chain of ``work`` and cells
+    certifies, each approximation first jumps to a grid cell that holds
+    its root (``_jump``), and the k-th narrowed cell is the k-th jumped
+    cell.  Each jumped cell lies in a certificate gap, so it holds one
+    root, and it is deeper than every cell ``_cells`` splits, which holds
+    two or more: no split point lies inside one, and the rank at a
+    split point is the number of jumped cells whose right end is at or
+    left of it, with no sign.  The next pass gets the approximations of
+    the roots not deflated.  Where no candidate certifies or a jump
+    fails, the counts come from the Sturm chain of ``work`` and cells
     are narrowed by bisection, in this pass and every later one.  Both
-    find the same cells, so the result does not depend on the way.
+    find the same cells, and name the same candidate and box, so the
+    result does not depend on the way.
     """
     tolerance = Fraction(tolerance)
     exact = []
@@ -520,17 +518,20 @@ def _isolate(work, tolerance, candidates=()):
         deep = max(fine, coarse)
         certified = _certificate(work, bound, candidates)
         if certified:
-            xs, ranks = certified
+            xs, points = certified
+            gaps = zip(points, points[1:])
+            jumped = [_jump(work, gap, bn, bd, deep, x) for gap, x in zip(gaps, xs)]
+        if certified and None not in jumped:
+            ranks = _jumped_ranks(jumped)
         else:
+            jumped = None
             chain = SturmChain(BivariatePolynomial.from_q_coefficients(work)).chain
             ranks = _sturm_ranks([chain])
         boxes, found = [], {}
         # one root to a cell, so the k-th cell holds the k-th root
-        for k, (_, (a, b, w)) in enumerate(_cells(ranks, bn, bd)):
-            depth = max(w, fine)
-            cell = a, b, w, _sign_at(work, b, w)
-            cell = _jump(work, cell, deep, xs[k]) if certified else _narrow(work, cell, deep)
-            a, b, w, _ = cell
+        for k, (_, cell) in enumerate(_cells(ranks, bn, bd)):
+            depth = max(cell[2], fine)
+            a, b, w = jumped[k] if jumped else _narrow(work, cell, deep)
             p = b * lead // w
             # a candidate at or left of the open end may be another cell's root
             if (a == b or a * lead < p * w) and _sign_at(work, p, lead) == 0:
@@ -542,7 +543,7 @@ def _isolate(work, tolerance, candidates=()):
         for root in found.values():
             exact.append(root)
             work = _deflate(work, root)
-        candidates = [[x for k, x in enumerate(xs) if k not in found]] if certified else ()
+        candidates = [[x for k, x in enumerate(xs) if k not in found]] if jumped else ()
     return tuple(sorted(exact)), ()
 
 
@@ -558,9 +559,10 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
     ``_isolate`` says, and deflated out.  The boxes come from a last pass
     over the deflated polynomial, so they hold the irrational roots and
     never have roots at their endpoints.  The cells come from Laguerre
-    approximations certified by exact signs where they certify, and from
-    Sturm counts where not; a polynomial with a repeated root never
-    certifies, and its Sturm chain raises ``NotSquarefreeError``.
+    approximations certified by exact signs and jumped to their roots
+    where that works, and from Sturm counts where not; a polynomial with
+    a repeated root never certifies, and its Sturm chain raises
+    ``NotSquarefreeError``.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -575,11 +577,6 @@ def isolate_roots(poly, tolerance=DEFAULT_TOLERANCE):
 
 def _zero_multiplicity(coeffs):
     return next((k for k, c in enumerate(coeffs) if c), 0)
-
-
-def _shift_down(coeffs, k):
-    """The polynomial divided by q^k, as a BivariatePolynomial."""
-    return BivariatePolynomial.from_q_coefficients(coeffs[k:])
 
 
 def verify_negative_distinct(poly):
@@ -617,7 +614,7 @@ def _negative_distinct(p):
         report.update(passed=True, detail="no roots besides the reported zero root")
     else:
         try:
-            chain = SturmChain(_shift_down(p, k))
+            chain = SturmChain(BivariatePolynomial.from_q_coefficients(p[k:]))
         except NotSquarefreeError:
             report["detail"] = "repeated root detected"
         else:
@@ -735,7 +732,7 @@ def roots_report(poly):
     body = {"degree": len(coeffs) - 1}  # the undeflated degree
     if len(coeffs) - k > 1:
         try:
-            exact, intervals = isolate_roots(_shift_down(coeffs, k))
+            exact, intervals = isolate_roots(BivariatePolynomial.from_q_coefficients(coeffs[k:]))
         except NotSquarefreeError:
             pass
         else:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from functools import cmp_to_key
 from math import floor, gcd, isqrt
@@ -293,14 +295,15 @@ def test_deflating_a_non_root_raises(monkeypatch):
 
 def test_isolation_deflation_at_a_split_point_is_checked(monkeypatch):
     # bisection of (x - 1)(x + 3) starts at the midpoint 0 of the symmetric
-    # Cauchy interval; a value that misreports 0 = u / w as a root must be
-    # caught
+    # Cauchy interval; on the Sturm route, which narrows cells by signs at
+    # midpoints, a value that misreports 0 = u / w as a root must be
+    # caught (the certified route takes no sign at a split point)
     real_sign_at = roots._sign_at
     monkeypatch.setattr(
         roots, "_sign_at", lambda coeffs, u, w: 0 if u == 0 else real_sign_at(coeffs, u, w)
     )
     with pytest.raises(InexactDivisionError):
-        isolate_roots(linear_product([1, -3]))
+        roots._isolate(linear_product([1, -3]).q_coefficient_list(), DEFAULT_TOLERANCE)
 
 
 def test_isolation_recovers_rational_roots_from_boxes_at_any_coefficient_size():
@@ -552,8 +555,9 @@ def test_isolation_falls_back_to_sturm_when_the_signs_do_not_alternate(monkeypat
 @pytest.mark.parametrize("newton", [True, False])
 def test_isolation_recovers_from_jumps_that_miss(monkeypatch, newton):
     # approximations shifted by 2^-20 still certify, but name cells 2^-40
-    # wide a long way from the roots: a miss is refined by Newton steps,
-    # or without them bisected
+    # wide a long way from the roots: a miss is refined by Newton steps;
+    # without them the jump fails and the pass, and every later one, runs
+    # on the Sturm route
     steps = {name: count_calls(monkeypatch, name) for name in ("_newton", "_narrow")}
     if not newton:
         monkeypatch.setattr(roots, "_newton", lambda *args: steps["_newton"].append(1))
@@ -564,9 +568,64 @@ def test_isolation_recovers_from_jumps_that_miss(monkeypatch, newton):
         assert roots._isolate(coeffs, DEFAULT_TOLERANCE, [shifted]) == (
             reference_isolate(coeffs, DEFAULT_TOLERANCE)
         )
-    assert built == []
+    assert len(built) == (0 if newton else 5)  # one per pass without Newton
     assert steps["_newton"]
     assert bool(steps["_narrow"]) is not newton
+
+
+def test_certified_isolation_takes_no_sign_at_a_split_point(monkeypatch):
+    # exc(3, 8) has degree 7 and no rational root: signs at the 8
+    # certificate points and 2 per jump, none for the splits of ``_cells``
+    product = exc_derangement_poly(3, 8)
+    expected = roots._isolate(product.q_coefficient_list(), DEFAULT_TOLERANCE)
+    signs = count_calls(monkeypatch, "_sign_at")
+    assert isolate_roots(product) == expected
+    assert len(signs) == 8 + 2 * 7
+
+
+def test_jumped_ranks_count_the_cells_at_or_left_of_a_point():
+    # cells of the grid on (-1, 1]: (-1, 0] at w = 2 and (1/2, 1] at w = 4;
+    # a point at a cell's right end counts that cell
+    ranks = roots._jumped_ranks([(-2, 0, 2), (2, 4, 4)])
+    points = [(-1, 1), (0, 1), (1, 4), (1, 2), (1, 1)]
+    assert [ranks(u, w) for u, w in points] == [[0], [1], [1], [1], [2]]
+
+
+@pytest.mark.parametrize("tolerance", [1, 2])
+def test_certified_isolation_jumps_past_deep_where_roots_are_close(monkeypatch, tolerance):
+    # the roots -sqrt 3 < -sqrt 2 < sqrt 2 < sqrt 3 of (x^2 - 2)(x^2 - 3) lie
+    # closer than the cells at w = deep are wide, so each jump goes deeper
+    # to fit in its certificate gap
+    product = poly(-2, 0, 1) * poly(-3, 0, 1)
+    coeffs = product.q_coefficient_list()
+    jumps, real_jump = [], roots._jump
+
+    def jump(work, gap, bn, bd, deep, x):
+        cell = real_jump(work, gap, bn, bd, deep, x)
+        jumps.append((deep, cell))
+        return cell
+
+    monkeypatch.setattr(roots, "_jump", jump)
+    built = count_sturm_chains(monkeypatch)
+    assert isolate_roots(product, tolerance) == reference_isolate(coeffs, tolerance)
+    assert built == []
+    assert len(jumps) == 4 and all(cell[2] > deep for deep, cell in jumps)
+
+
+#: sha256 of json.dumps([exact roots, boxes]) of ``isolate_roots(exc(5, n))``,
+#: every Fraction as its str, computed while each split of the certified
+#: route still took a sign
+ISOLATION_SHA256 = {
+    64: "be04cadf9d0d53629f1e60aa37fb3945e64206fd43073f3615ac8fd39cbb67cb",
+    80: "970c364df36ac23ffd5f9672b4c80ac6c5a7854d088687eaffc517e0f47522c2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ISOLATION_SHA256))
+def test_isolation_of_exc_5_n_is_pinned(n):
+    exact, boxes = isolate_roots(exc_derangement_poly(5, n))
+    doc = json.dumps([[str(x) for x in exact], [[str(lo), str(hi)] for lo, hi in boxes]])
+    assert hashlib.sha256(doc.encode()).hexdigest() == ISOLATION_SHA256[n]
 
 
 def test_isolation_json_shape():
